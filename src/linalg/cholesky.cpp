@@ -63,29 +63,33 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
 }
 
 Cholesky Cholesky::factor_shifted(const Matrix& a, double initial_rel_shift) {
+  Cholesky c;
+  c.refactor_shifted(a, initial_rel_shift);
+  return c;
+}
+
+void Cholesky::refactor_shifted(const Matrix& a, double initial_rel_shift) {
   assert(a.rows() == a.cols());
   const double scale = diag_scale(a);
-  Cholesky c;
   double rel = initial_rel_shift;
-  if (try_factor(a, rel * scale, c.l_)) {
-    c.shift_ = rel * scale;
-    return c;
+  if (try_factor(a, rel * scale, l_)) {
+    shift_ = rel * scale;
+    return;
   }
   rel = rel > 0.0 ? rel * 10.0 : 1e-14;
   while (rel < 1e6) {
-    if (try_factor(a, rel * scale, c.l_)) {
-      c.shift_ = rel * scale;
-      util::log_trace("Cholesky: applied diagonal shift ", c.shift_);
-      return c;
+    if (try_factor(a, rel * scale, l_)) {
+      shift_ = rel * scale;
+      util::log_trace("Cholesky: applied diagonal shift ", shift_);
+      return;
     }
     rel *= 10.0;
   }
   // Degenerate input (e.g. all-NaN): fall back to identity to avoid UB; the
   // caller's residual checks will expose the failure.
   util::log_warn("Cholesky: factorization failed even with large shift");
-  c.l_ = Matrix::identity(a.rows());
-  c.shift_ = rel * scale;
-  return c;
+  l_ = Matrix::identity(a.rows());
+  shift_ = rel * scale;
 }
 
 Vector Cholesky::solve_lower(const Vector& b) const {
@@ -106,50 +110,26 @@ Vector Cholesky::solve_lower_transposed(const Vector& y) const {
 
 Vector Cholesky::solve(const Vector& b) const { return solve_lower_transposed(solve_lower(b)); }
 
-Matrix Cholesky::solve(const Matrix& b) const {
-  Matrix x(b.rows(), b.cols());
-  Vector col(b.rows());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-    const Vector sol = solve(col);
-    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = sol[i];
-  }
-  return x;
+Matrix Cholesky::solve(Matrix b) const {
+  assert(b.rows() == l_.rows());
+  const Kernels& kern = active_kernels();
+  kern.trsm_lower(b.rows(), b.cols(), l_.data(), l_.cols(), b.data(), b.cols());
+  kern.trsm_lower_t(b.rows(), b.cols(), l_.data(), l_.cols(), b.data(), b.cols());
+  return b;
+}
+
+Matrix Cholesky::solve_lower(Matrix b) const {
+  assert(b.rows() == l_.rows());
+  active_kernels().trsm_lower(b.rows(), b.cols(), l_.data(), l_.cols(), b.data(),
+                              b.cols());
+  return b;
 }
 
 Matrix Cholesky::inverse() const {
-  // A^{-1} = L^{-T} L^{-1}. First J = L^{-1} by forward substitution per
-  // column (the identity right-hand side is sparse: column j starts at row
-  // j, so the forward pass is triangular in cost); then X = L^{-T} J by back
-  // substitution. Work runs on whole rows of the output, not per-column
-  // vector copies.
-  const std::size_t n = l_.rows();
-  Matrix x(n, n);
-  // Forward: J(i, j) for i >= j, built column-major logically but stored
-  // row-major; iterate rows outer so writes stay contiguous.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* li = l_.row_ptr(i);
-    double* xi = x.row_ptr(i);
-    const double inv = 1.0 / li[i];
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = (i == j) ? 1.0 : 0.0;
-      for (std::size_t k = j; k < i; ++k) s -= li[k] * x(k, j);
-      xi[j] = s * inv;
-    }
-  }
-  // Backward: X <- L^{-T} X, rows from the bottom; row i of the result needs
-  // rows > i of the intermediate, so in-place back substitution is safe.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double* xi = x.row_ptr(ii);
-    const double inv = 1.0 / l_(ii, ii);
-    for (std::size_t j = 0; j < n; ++j) {
-      double s = xi[j];
-      for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x(k, j);
-      xi[j] = s * inv;
-    }
-  }
-  // Clean up roundoff asymmetry so downstream symmetric kernels see an
-  // exactly symmetric inverse.
+  // A^{-1} = L^{-T} L^{-1}: the multi-RHS solve on the identity. Clean up
+  // roundoff asymmetry so downstream symmetric kernels see an exactly
+  // symmetric inverse.
+  Matrix x = solve(Matrix::identity(l_.rows()));
   x.symmetrize();
   return x;
 }

@@ -18,19 +18,27 @@ class Cholesky {
   /// relative to the diagonal magnitude until the factorization succeeds.
   /// Records the shift actually applied.
   static Cholesky factor_shifted(const Matrix& a, double initial_rel_shift = 0.0);
+  /// factor_shifted into this object's storage: refactoring a matrix of the
+  /// same size allocates nothing (the IPM refactors its Schur complement
+  /// every iteration).
+  void refactor_shifted(const Matrix& a, double initial_rel_shift = 0.0);
 
   /// Solve A x = b.
   Vector solve(const Vector& b) const;
-  /// Solve A X = B column-wise.
-  Matrix solve(const Matrix& b) const;
+  /// Solve A X = B for all columns at once (Kernels::trsm_lower and
+  /// trsm_lower_t on whole rows of X). `b` is taken by value and solved in
+  /// place, so an rvalue argument costs no allocation at all.
+  Matrix solve(Matrix b) const;
   /// Solve L y = b (forward substitution).
   Vector solve_lower(const Vector& b) const;
+  /// Solve L Y = B for all columns at once, as solve(Matrix).
+  Matrix solve_lower(Matrix b) const;
   /// Solve L^T x = y (back substitution).
   Vector solve_lower_transposed(const Vector& y) const;
 
-  /// Explicit (A + shift I)^{-1} = L^{-T} L^{-1}, symmetrized. Cheaper than
-  /// n right-hand-side solves and turns repeated A^{-1} S applications into
-  /// GEMMs (the IPM computes it once per block per iteration).
+  /// Explicit (A + shift I)^{-1} = L^{-T} L^{-1}, symmetrized: one
+  /// multi-RHS solve on the identity. Turns repeated A^{-1} S applications
+  /// into GEMMs (the IPM computes it once per block per iteration).
   Matrix inverse() const;
 
   const Matrix& lower() const { return l_; }

@@ -173,6 +173,28 @@ void s_trsv_lower_t(std::size_t n, const double* l, std::size_t ldl, double* x) 
   }
 }
 
+void s_trsm_lower(std::size_t n, std::size_t k, const double* l, std::size_t ldl,
+                  double* x, std::size_t ldx) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l + i * ldl;
+    double* xi = x + i * ldx;
+    for (std::size_t p = 0; p < i; ++p) s_axpy(-li[p], x + p * ldx, xi, k);
+    for (std::size_t c = 0; c < k; ++c) xi[c] /= li[i];
+  }
+}
+
+void s_trsm_lower_t(std::size_t n, std::size_t k, const double* l, std::size_t ldl,
+                    double* x, std::size_t ldx) {
+  // Once row ii of X is final, row ii of L holds (in [0, ii)) its
+  // coefficients in the earlier equations: retire them with one axpy each.
+  for (std::size_t ii = n; ii-- > 0;) {
+    const double* li = l + ii * ldl;
+    double* xi = x + ii * ldx;
+    for (std::size_t c = 0; c < k; ++c) xi[c] /= li[ii];
+    for (std::size_t p = 0; p < ii; ++p) s_axpy(-li[p], xi, x + p * ldx, k);
+  }
+}
+
 float s_dot_f32(const float* a, const float* b, std::size_t n) {
   float acc = 0.0f;
   for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
@@ -202,6 +224,8 @@ Kernels make_scalar() {
   k.chol_factor_panel = &s_chol_factor_panel;
   k.trsv_lower = &s_trsv_lower;
   k.trsv_lower_t = &s_trsv_lower_t;
+  k.trsm_lower = &s_trsm_lower;
+  k.trsm_lower_t = &s_trsm_lower_t;
   k.dot_f32 = &s_dot_f32;
   k.dot_sub_f32 = &s_dot_sub_f32;
   k.axpy_f32 = &s_axpy_f32;

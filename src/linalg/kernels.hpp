@@ -11,16 +11,18 @@
 //     dimensions; callers guarantee no aliasing between inputs and outputs
 //     unless a kernel documents in-place operation.
 //   - The scalar table reproduces the pre-SIMD loop nests *operation for
-//     operation* (same accumulation order, no FMA contraction), so
-//     SOSLOCK_SIMD=scalar is bit-identical to the historical results. This
-//     is the always-correct reference path the parity suite tests every
-//     other ISA against.
+//     operation* (same accumulation order, no FMA contraction): each of
+//     those kernels is bit-identical to the loop it replaced. The multi-RHS
+//     substitutions (trsm_lower, trsm_lower_t) replaced per-column solves
+//     rather than a loop nest; their scalar version is the plain
+//     row-oriented axpy reference. This is the always-correct reference
+//     path the parity suite tests every other ISA against.
 //   - Vector tables keep the per-element accumulation *order* of the scalar
 //     path for the elementwise kernels (gemm_acc, syrk_sub_upper, axpy,
 //     sub_scaled2, split_recombine) — they differ only by FMA contraction,
 //     so parity there is a fused-multiply-add question, not a reduction-
 //     order question. The reduction kernels (dot, dot_sub, the triangular
-//     solves built on them, and the f32 variants) split sums across lanes
+//     solves, and the f32 variants) split sums across lanes or reorder them
 //     and are parity-tested to ulp-scaled bounds instead.
 #include <cstddef>
 
@@ -45,7 +47,7 @@ struct Kernels {
                          double* c, std::size_t ldc);
 
   /// y[0..n) += f * x[0..n) — the fused scale-and-accumulate every rank-1
-  /// row update rides on (Schur panels, Cholesky inverse, axpy).
+  /// row update rides on (Schur panels, row-oriented substitutions, axpy).
   void (*axpy)(double f, const double* x, double* y, std::size_t n);
 
   /// y[0..n) -= f * a[0..n) + g * b[0..n) — the Householder two-sided
@@ -99,6 +101,20 @@ struct Kernels {
 
   /// In-place back substitution: solve L^T x = b, x = b on entry.
   void (*trsv_lower_t)(std::size_t n, const double* l, std::size_t ldl, double* x);
+
+  /// In-place multi-RHS forward substitution: solve L X = B for the k
+  /// right-hand sides held as the columns of the row-major n x k block X
+  /// (ldx), X = B on entry. Every table walks contiguous rows of L and X:
+  /// scalar runs one axpy across the right-hand sides per factor entry;
+  /// vector tables finish four rows of a column group in registers and
+  /// retire them from the remaining rows with one rank-4 pass (fewer
+  /// columns than one register holds take the scalar kernel).
+  void (*trsm_lower)(std::size_t n, std::size_t k, const double* l, std::size_t ldl,
+                     double* x, std::size_t ldx);
+
+  /// In-place multi-RHS back substitution: solve L^T X = B, same layout.
+  void (*trsm_lower_t)(std::size_t n, std::size_t k, const double* l, std::size_t ldl,
+                       double* x, std::size_t ldx);
 
   // --- FP32 variants (mixed-precision Schur factorization: twice the
   // lanes; accuracy is recovered by FP64 iterative refinement in the IPM).

@@ -21,8 +21,10 @@
 // elementwise kernels (gemm, syrk, axpy, sub_scaled2, split_recombine) keep
 // the scalar per-element k-order and differ only by FMA fusing, so their
 // remainder lanes must use std::fma to stay exactly reproducible by a fused
-// sequential reference. The reduction kernels (dot, dot_sub, trsv) split
-// sums across lanes and are only ulp-bounded against scalar.
+// sequential reference. The reduction kernels (dot, dot_sub, trsv_lower)
+// split sums across lanes, and the substitutions (trsv_lower_t, trsm_lower,
+// trsm_lower_t) reorder each unknown's subtractions, so all of them are only
+// ulp-bounded against scalar.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -315,10 +317,112 @@ inline void vtrsv_lower(std::size_t n, const double* l, std::size_t ldl, double*
   }
 }
 
+/// Row-oriented back substitution: once x[ii] is final, row ii of L holds
+/// (in [0, ii)) exactly its coefficients in the earlier equations, so one
+/// contiguous axpy retires them all — no strided column walk of L. Each
+/// x[k] then accumulates its subtractions in descending row order, the
+/// reverse of the scalar column walk, so parity is ulp-bounded like the
+/// other substitutions.
+template <class V>
+inline void vtrsv_lower_t(std::size_t n, const double* l, std::size_t ldl, double* x) {
+  for (std::size_t ii = n; ii-- > 0;) {
+    const double* li = l + ii * ldl;
+    x[ii] /= li[ii];
+    vaxpy<V>(-x[ii], li, x, ii);
+  }
+}
+
+/// One NB-row block of a multi-RHS substitution on the column group
+/// {[c0, c0+W), [c1, c1+W)} of X: finish rows[0..NB) (solve order) in
+/// registers, then subtract them from every row p in [p0, p1) still to be
+/// solved. The coefficient of finished row r in row p's equation is
+/// L(p, r) forward and L(r, p) back; either way the inner loop reads
+/// contiguous segments of rows of L. When c1 < c0 + W the two registers
+/// overlap: their shared lanes see identical operations, so storing both
+/// is harmless.
+template <class V, bool Back, std::size_t NB>
+inline void vtrsm_block(const double* l, std::size_t ldl, double* x, std::size_t ldx,
+                        std::size_t c0, std::size_t c1, const std::size_t* rows,
+                        std::size_t p0, std::size_t p1) {
+  using vec = typename V::vec;
+  const auto coef = [&](std::size_t p, std::size_t r) {
+    return Back ? l[r * ldl + p] : l[p * ldl + r];
+  };
+  vec a[NB], b[NB];
+  for (std::size_t t = 0; t < NB; ++t) {
+    const std::size_t r = rows[t];
+    double* xr = x + r * ldx;
+    vec u = V::loadu(xr + c0), v = V::loadu(xr + c1);
+    for (std::size_t s = 0; s < t; ++s) {
+      const vec f = V::set1(coef(r, rows[s]));
+      u = V::fnmadd(f, a[s], u);
+      v = V::fnmadd(f, b[s], v);
+    }
+    const vec inv = V::set1(1.0 / l[r * ldl + r]);
+    a[t] = V::mul(u, inv);
+    b[t] = V::mul(v, inv);
+    V::storeu(xr + c0, a[t]);
+    V::storeu(xr + c1, b[t]);
+  }
+  for (std::size_t p = p0; p < p1; ++p) {
+    double* xp = x + p * ldx;
+    vec u = V::loadu(xp + c0), v = V::loadu(xp + c1);
+    for (std::size_t t = 0; t < NB; ++t) {
+      const vec f = V::set1(coef(p, rows[t]));
+      u = V::fnmadd(f, a[t], u);
+      v = V::fnmadd(f, b[t], v);
+    }
+    V::storeu(xp + c0, u);
+    V::storeu(xp + c1, v);
+  }
+}
+
+/// Whole substitution on one column group, four rows per block: forward
+/// (L X = B) finishes blocks top-down, back (L^T X = B) bottom-up.
+template <class V, bool Back>
+inline void vtrsm_group(std::size_t n, const double* l, std::size_t ldl, double* x,
+                        std::size_t ldx, std::size_t c0, std::size_t c1) {
+  for (std::size_t b = 0; b < n; b += 4) {
+    const std::size_t nb = std::min<std::size_t>(4, n - b);
+    std::size_t rows[4];
+    for (std::size_t t = 0; t < nb; ++t) rows[t] = Back ? n - 1 - b - t : b + t;
+    const std::size_t p0 = Back ? 0 : b + nb;
+    const std::size_t p1 = Back ? n - b - nb : n;
+    switch (nb) {
+      case 4: vtrsm_block<V, Back, 4>(l, ldl, x, ldx, c0, c1, rows, p0, p1); break;
+      case 3: vtrsm_block<V, Back, 3>(l, ldl, x, ldx, c0, c1, rows, p0, p1); break;
+      case 2: vtrsm_block<V, Back, 2>(l, ldl, x, ldx, c0, c1, rows, p0, p1); break;
+      default: vtrsm_block<V, Back, 1>(l, ldl, x, ldx, c0, c1, rows, p0, p1); break;
+    }
+  }
+}
+
+/// Multi-RHS substitution (Kernels::trsm_lower / trsm_lower_t). The k
+/// columns are independent solves, taken two registers at a time. The last
+/// group's second register is clamped to end at column k; a tail of
+/// 2W < rest < 3W columns first takes a W-wide group (both registers on the
+/// same columns), so the clamped register only ever overlaps its own
+/// partner, never a column a finished group already solved. Fewer than W
+/// columns take the scalar kernel.
+template <class V, bool Back>
+inline void vtrsm(std::size_t n, std::size_t k, const double* l, std::size_t ldl,
+                  double* x, std::size_t ldx) {
+  constexpr std::size_t W = V::W;
+  if (k < W) {
+    const Kernels& s = scalar_kernels();
+    (Back ? s.trsm_lower_t : s.trsm_lower)(n, k, l, ldl, x, ldx);
+    return;
+  }
+  for (std::size_t c = 0; c < k;) {
+    const std::size_t rest = k - c;
+    const std::size_t w = (rest > 2 * W && rest < 3 * W) ? W : 2 * W;
+    vtrsm_group<V, Back>(n, l, ldl, x, ldx, c, std::min(c + w - W, k - W));
+    c += w;
+  }
+}
+
 /// Build the full table for one ISA from the double trait VD and the float
-/// trait VS. The strided back substitution stays on the scalar kernel (its
-/// column walk defeats contiguous vector loads and it is O(n^2) against the
-/// O(n^3) neighbours).
+/// trait VS.
 template <class VD, class VS>
 inline Kernels make_table(util::SimdIsa isa) {
   Kernels k;
@@ -333,7 +437,9 @@ inline Kernels make_table(util::SimdIsa isa) {
   k.chol_trailing_update = &vchol_trailing_update<VD>;
   k.chol_factor_panel = &vchol_factor_panel<VD>;
   k.trsv_lower = &vtrsv_lower<VD>;
-  k.trsv_lower_t = scalar_kernels().trsv_lower_t;
+  k.trsv_lower_t = &vtrsv_lower_t<VD>;
+  k.trsm_lower = &vtrsm<VD, false>;
+  k.trsm_lower_t = &vtrsm<VD, true>;
   k.dot_f32 = &vdot<VS>;
   k.dot_sub_f32 = &vdot_sub<VS>;
   k.axpy_f32 = &vaxpy<VS>;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
@@ -34,22 +35,12 @@ struct State {
 
 /// T = L^{-1} S L^{-T} for symmetric S given the Cholesky factor L.
 Matrix congruence_inv(const Cholesky& chol, const Matrix& s) {
-  const std::size_t n = s.rows();
-  // First F = L^{-1} S: forward substitution applied to each column of S.
-  Matrix f(n, n);
-  Vector col(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = s(i, j);
-    const Vector sol = chol.solve_lower(col);
-    for (std::size_t i = 0; i < n; ++i) f(i, j) = sol[i];
-  }
-  // Then T = F L^{-T}: T^T = L^{-1} F^T.
-  Matrix t(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = f(j, i);
-    const Vector sol = chol.solve_lower(col);
-    for (std::size_t i = 0; i < n; ++i) t(j, i) = sol[i];
-  }
+  // F = L^{-1} S, then T = L^{-1} F^T (T is symmetric, so T = T^T): two
+  // multi-RHS forward solves around an in-place transpose, no temporary.
+  Matrix t = chol.solve_lower(s);
+  for (std::size_t i = 0; i < t.rows(); ++i)
+    for (std::size_t j = 0; j < i; ++j) std::swap(t(i, j), t(j, i));
+  t = chol.solve_lower(std::move(t));
   t.symmetrize();
   return t;
 }
@@ -100,7 +91,7 @@ class SchurFactor {
 
   void factor(const Matrix& a, double initial_rel_shift) {
     if (!opt_.mixed_precision || fp32_disabled_) {
-      chol_ = Cholesky::factor_shifted(a, initial_rel_shift);
+      chol_.refactor_shifted(a, initial_rel_shift);
       use_fp32_ = false;
       return;
     }
@@ -663,7 +654,12 @@ class Ipm {
     // Assemble the Schur complement M_ik = sum_j <A_ij, Z_j^{-1} A_kj X_j>
     // over the extended index space (real rows, then overlap couplings).
     phase_timer.reset();
-    Matrix schur(mext_, mext_);
+    if (schur_.rows() != mext_) {
+      schur_ = Matrix(mext_, mext_);
+    } else {
+      schur_.fill(0.0);
+    }
+    Matrix& schur = schur_;
     if (opt_.reference_schur) {
       assemble_schur_reference(s, chol_z, schur);
     } else {
@@ -680,16 +676,16 @@ class Ipm {
     // congruence of the PD HKM operator with the linearly independent
     // overlap difference maps).
     phase_timer.reset();
-    SchurFactor chol_m(opt_, mixed_, recoveries_, fp32_disabled_);
+    SchurFactor& chol_m = schur_factor_;
     OverlapElimination elim;
     if (q_ == 0) {
       chol_m.factor(schur, 1e-13);
     } else {
       chol_m.factor(elim.reduce(schur, m_, q_, 1e-13), 1e-13);
     }
-    phase_.factor += phase_timer.seconds();
 
-    // Free-variable coupling B (m x nf), built once at solver setup.
+    // Free-variable coupling B (m x nf), built once at solver setup. Its
+    // Schur-complement factor belongs to the factor phase too.
     const Matrix& bmat = bmat_;
     Matrix w_free, s_free;
     std::optional<Cholesky> chol_s;
@@ -699,6 +695,7 @@ class Ipm {
       for (std::size_t v = 0; v < nf_; ++v) s_free(v, v) += opt_.free_var_regularization;
       chol_s = Cholesky::factor_shifted(s_free, 1e-13);
     }
+    phase_.factor += phase_timer.seconds();
 
     // One pass of the block-eliminated KKT solve. r1 spans the extended row
     // space [rows; overlaps]; the returned dy does too (its tail is the
@@ -920,11 +917,17 @@ class Ipm {
   std::vector<Matrix> panel_scratch_;  // per-worker Schur panel workspace
   PhaseTimes phase_;
   /// Mixed-precision telemetry + fallback records accumulated across
-  /// iterations (each step() builds its SchurFactor on these), surfaced on
-  /// the Solution by run().
+  /// iterations (schur_factor_ records into these), surfaced on the
+  /// Solution by run().
   MixedPrecisionStats mixed_;
   std::vector<RecoveryRecord> recoveries_;
   bool fp32_disabled_ = false;  // sticky per-solve FP64 fallback latch
+  /// The Schur complement and its factor keep their storage across
+  /// iterations (the size is fixed per solve) instead of allocating two
+  /// m x m matrices per step; at the paper's 254-548-row Schur sizes that
+  /// churn left megabytes of freed heap resident.
+  Matrix schur_;
+  SchurFactor schur_factor_{opt_, mixed_, recoveries_, fp32_disabled_};
   std::size_t m_ = 0, q_ = 0, mext_ = 0, nf_ = 0, nblocks_ = 0, total_dim_ = 0;
   double data_norm_ = 1.0, c_norm_ = 1.0;
 };

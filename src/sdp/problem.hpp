@@ -166,8 +166,9 @@ struct RecoveryRecord {
 /// compare like with like:
 ///   schur   — IPM: Schur-complement assembly; ADMM: the cached y-update
 ///             normal solves.
-///   factor  — Cholesky factorizations (blocks + Schur/normal matrix) and
-///             explicit block inverses.
+///   factor  — Cholesky factorizations (blocks + Schur/normal matrix),
+///             explicit block inverses, and the IPM's free-variable
+///             coupling (M^{-1} B, B^T M^{-1} B and its factor).
 ///   eig     — eigendecompositions (IPM step-length bounds; ADMM PSD
 ///             projections, where this phase dominates).
 ///   recover — RHS assembly, search-direction / iterate recovery, residuals.

@@ -1,6 +1,7 @@
 // Unit and property tests for the dense linear algebra kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -470,6 +471,17 @@ std::vector<const Kernels*> vector_tables() {
   return out;
 }
 
+// max() would skip a NaN, and the NaN-padded operands below rely on one
+// showing up: any non-finite entry counts as an infinite difference.
+double worst_abs_diff(const Vector& a, const Vector& b) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = std::fabs(a[i] - b[i]);
+    m = std::isfinite(d) ? std::max(m, d) : INFINITY;
+  }
+  return m;
+}
+
 TEST(KernelParity, MatrixStorageIs64ByteAligned) {
   for (std::size_t n : {1u, 7u, 64u, 129u}) {
     const Matrix m(n, n);
@@ -716,29 +728,145 @@ TEST(KernelParity, CholFactorPanelParity) {
     Matrix bv = bad;
     EXPECT_FALSE(t->chol_factor_panel(3, 0, bv.data(), 3)) << util::isa_name(t->isa);
   }
-  // Triangular solves: scalar vs vector on a well-conditioned factor.
-  for (std::size_t n : {1u, 5u, 33u, 96u}) {
-    util::Rng rng2(n * 7 + 3);
-    const Matrix a = random_spd(n, rng2, 2.0);
-    const auto chol = Cholesky::factor(a);
-    ASSERT_TRUE(chol.has_value());
-    const Matrix& l = chol->lower();
-    const Vector rhs = rng2.uniform_vector(n, -1.0, 1.0);
-    Vector xs = rhs;
-    scalar_kernels().trsv_lower(n, l.data(), n, xs.data());
-    Vector xst = rhs;
-    scalar_kernels().trsv_lower_t(n, l.data(), n, xst.data());
-    for (const Kernels* t : vector_tables()) {
-      Vector xv = rhs;
-      t->trsv_lower(n, l.data(), n, xv.data());
-      EXPECT_LT(max_abs_diff(xv, xs), 1e-10 * static_cast<double>(n + 1))
-          << util::isa_name(t->isa) << " trsv_lower n=" << n;
-      Vector xvt = rhs;
-      t->trsv_lower_t(n, l.data(), n, xvt.data());
-      EXPECT_LT(max_abs_diff(xvt, xst), 1e-10 * static_cast<double>(n + 1))
-          << util::isa_name(t->isa) << " trsv_lower_t n=" << n;
+  // Triangular solves: scalar vs vector on a well-conditioned factor, up to
+  // the Schur sizes of the Table-2 pipeline (254, 450). The padded leading
+  // dimension is NaN-filled past column n, so a kernel that reads outside
+  // its rows poisons the result.
+  for (std::size_t n : {1u, 5u, 33u, 96u, 254u, 450u}) {
+    for (std::size_t ldl : {n, n + 7}) {
+      util::Rng rng2(n * 7 + 3);
+      const Matrix a = random_spd(n, rng2, 2.0);
+      const auto chol = Cholesky::factor(a);
+      ASSERT_TRUE(chol.has_value());
+      Vector l(n * ldl, std::nan(""));
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c) l[r * ldl + c] = chol->lower()(r, c);
+      const Vector rhs = rng2.uniform_vector(n, -1.0, 1.0);
+      Vector xs = rhs;
+      scalar_kernels().trsv_lower(n, l.data(), ldl, xs.data());
+      Vector xst = rhs;
+      scalar_kernels().trsv_lower_t(n, l.data(), ldl, xst.data());
+      const Vector zero(n, 0.0);
+      EXPECT_LT(worst_abs_diff(xs, zero) + worst_abs_diff(xst, zero), INFINITY)
+          << "scalar trsv n=" << n << " ldl=" << ldl;
+      for (const Kernels* t : vector_tables()) {
+        Vector xv = rhs;
+        t->trsv_lower(n, l.data(), ldl, xv.data());
+        EXPECT_LT(worst_abs_diff(xv, xs), 1e-10 * static_cast<double>(n + 1))
+            << util::isa_name(t->isa) << " trsv_lower n=" << n << " ldl=" << ldl;
+        Vector xvt = rhs;
+        t->trsv_lower_t(n, l.data(), ldl, xvt.data());
+        EXPECT_LT(worst_abs_diff(xvt, xst), 1e-10 * static_cast<double>(n + 1))
+            << util::isa_name(t->isa) << " trsv_lower_t n=" << n << " ldl=" << ldl;
+      }
     }
   }
+}
+
+TEST(KernelParity, MultiRhsSubstitutionParity) {
+  // trsm_lower / trsm_lower_t of every vector table against the scalar
+  // reference. Column counts straddle one, two and three registers of each
+  // ISA (the clamped, overlapping last register), and both leading
+  // dimensions are padded with NaN so a kernel touching a cell outside the
+  // n x n factor or the n x k block poisons the result.
+  for (std::size_t n : {1u, 5u, 33u, 254u, 450u}) {
+    const std::size_t ldl = n + 3;
+    util::Rng rng(n * 17 + 1);
+    const Matrix a = random_spd(n, rng, 2.0);
+    const auto chol = Cholesky::factor(a);
+    ASSERT_TRUE(chol.has_value());
+    Vector l(n * ldl, std::nan(""));
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) l[r * ldl + c] = chol->lower()(r, c);
+    for (std::size_t k : {1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 20u, 37u}) {
+      const std::size_t ldx = k + 2;
+      Vector b(n * ldx, std::nan(""));
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < k; ++c) b[r * ldx + c] = rng.uniform(-1.0, 1.0);
+      Vector fs = b, bs = b;
+      scalar_kernels().trsm_lower(n, k, l.data(), ldl, fs.data(), ldx);
+      scalar_kernels().trsm_lower_t(n, k, l.data(), ldl, bs.data(), ldx);
+      for (const Kernels* t : vector_tables()) {
+        Vector fv = b, bv = b;
+        t->trsm_lower(n, k, l.data(), ldl, fv.data(), ldx);
+        t->trsm_lower_t(n, k, l.data(), ldl, bv.data(), ldx);
+        // Compare the n x k block only; the padding columns stay NaN.
+        Vector fsb, fvb, bsb, bvb;
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t c = 0; c < k; ++c) {
+            const std::size_t i = r * ldx + c;
+            fsb.push_back(fs[i]);
+            fvb.push_back(fv[i]);
+            bsb.push_back(bs[i]);
+            bvb.push_back(bv[i]);
+          }
+        }
+        const double worst_f = worst_abs_diff(fvb, fsb);
+        const double worst_b = worst_abs_diff(bvb, bsb);
+        const double tol = 1e-10 * static_cast<double>(n + 1);
+        EXPECT_LT(worst_f, tol)
+            << util::isa_name(t->isa) << " trsm_lower n=" << n << " k=" << k;
+        EXPECT_LT(worst_b, tol)
+            << util::isa_name(t->isa) << " trsm_lower_t n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Cholesky, MultiRhsMatchesPerColumnSolves) {
+  // The row-oriented multi-RHS substitutions (solve(Matrix), solve_lower(
+  // Matrix), inverse()) against per-column Vector solves, under the scalar
+  // table and every compiled vector table. Sizes straddle the 48-wide
+  // factor panel; k = 0 is the empty right-hand side.
+  const util::SimdIsa startup = active_isa();
+  std::vector<util::SimdIsa> isas = {util::SimdIsa::Scalar};
+  for (const Kernels* t : vector_tables()) isas.push_back(t->isa);
+  for (const util::SimdIsa isa : isas) {
+    set_active_isa(isa);
+    for (std::size_t n : {1u, 47u, 48u, 49u, 450u}) {
+      util::Rng rng(n * 13 + 5);
+      const Matrix a = random_spd(n, rng, static_cast<double>(n));
+      const auto chol = Cholesky::factor(a);
+      ASSERT_TRUE(chol.has_value());
+      for (std::size_t k : {0u, 1u, 7u, 64u}) {
+        const Matrix b = random_matrix(n, k, rng);
+        const Matrix x = chol->solve(b);
+        const Matrix y = chol->solve_lower(b);
+        ASSERT_EQ(x.rows(), n);
+        ASSERT_EQ(x.cols(), k);
+        ASSERT_EQ(y.rows(), n);
+        ASSERT_EQ(y.cols(), k);
+        Matrix xref(n, k), yref(n, k);
+        for (std::size_t j = 0; j < k; ++j) {
+          Vector col(n);
+          for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
+          const Vector xs = chol->solve(col);
+          const Vector ys = chol->solve_lower(col);
+          for (std::size_t i = 0; i < n; ++i) {
+            xref(i, j) = xs[i];
+            yref(i, j) = ys[i];
+          }
+        }
+        if (k > 0) {
+          EXPECT_LE(norm_inf(x - xref), 1e-12 * norm_inf(xref))
+              << util::isa_name(isa) << " solve n=" << n << " k=" << k;
+          EXPECT_LE(norm_inf(y - yref), 1e-12 * norm_inf(yref))
+              << util::isa_name(isa) << " solve_lower n=" << n << " k=" << k;
+        }
+      }
+      const Matrix inv = chol->inverse();
+      Matrix inv_ref(n, n);
+      for (std::size_t j = 0; j < n; ++j) {
+        Vector e(n, 0.0);
+        e[j] = 1.0;
+        const Vector col = chol->solve(e);
+        for (std::size_t i = 0; i < n; ++i) inv_ref(i, j) = col[i];
+      }
+      EXPECT_LE(norm_inf(inv - inv_ref), 1e-12 * norm_inf(inv_ref))
+          << util::isa_name(isa) << " inverse n=" << n;
+    }
+  }
+  set_active_isa(startup);
 }
 
 TEST(KernelParity, Fp32KernelsUlpBounded) {
