@@ -1,13 +1,13 @@
 #pragma once
 // Generic SIMD kernel bodies shared by the per-ISA translation units
-// (kernels_avx2/avx512/neon.cpp). Each ISA supplies two vector traits — one
-// for double, one for float — and instantiates make_table<>; this header
+// (kernels_avx2/avx512/neon.cpp). Each ISA supplies a double-precision
+// vector trait and instantiates make_table<>; this header
 // never touches intrinsics itself, so it compiles in every TU regardless of
 // the enabled instruction set.
 //
 // A trait V provides:
 //   V::W            lane count (std::size_t)
-//   V::elem         element type (double or float)
+//   V::elem         element type (double)
 //   V::vec          the register type
 //   V::zero()                       all-zero register
 //   V::set1(e)                      broadcast
@@ -421,9 +421,8 @@ inline void vtrsm(std::size_t n, std::size_t k, const double* l, std::size_t ldl
   }
 }
 
-/// Build the full table for one ISA from the double trait VD and the float
-/// trait VS.
-template <class VD, class VS>
+/// Build the full table for one ISA from the double trait VD.
+template <class VD>
 inline Kernels make_table(util::SimdIsa isa) {
   Kernels k;
   k.isa = isa;
@@ -440,9 +439,6 @@ inline Kernels make_table(util::SimdIsa isa) {
   k.trsv_lower_t = &vtrsv_lower_t<VD>;
   k.trsm_lower = &vtrsm<VD, false>;
   k.trsm_lower_t = &vtrsm<VD, true>;
-  k.dot_f32 = &vdot<VS>;
-  k.dot_sub_f32 = &vdot_sub<VS>;
-  k.axpy_f32 = &vaxpy<VS>;
   return k;
 }
 

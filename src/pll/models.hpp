@@ -85,7 +85,7 @@ struct ClockTreeOptions {
   /// neighbor_coupling each. 0 keeps the pure star topology. With it on,
   /// the aggregate sparsity is a banded chain plus the rail hub, so the
   /// chordal cliques grow to ~2*neighbor_hops+2 vertices — the knob the
-  /// async-ADMM bench uses to make per-clique eigenwork dominate.
+  /// clock-tree ADMM benchmark uses to make per-clique eigenwork dominate.
   double neighbor_coupling = 0.0;
   std::size_t neighbor_hops = 1;
   /// Confine the crosstalk to disjoint clusters of this many consecutive
@@ -97,7 +97,8 @@ struct ClockTreeOptions {
   /// (separator size ~2*hops+1, overlap couplings quadratic in the clique
   /// size), while clusters share exactly the rail (one overlap entry per
   /// clique-tree edge) — large per-clique eigenwork, near-constant
-  /// consensus cost, the regime where clique-parallel ADMM actually wins.
+  /// consensus cost, the regime where the per-clique projections carry
+  /// the ADMM time.
   std::size_t cluster = 0;
 };
 
@@ -115,7 +116,7 @@ struct ClockTreeModel {
 /// third-order column of `params`). Flow rows are assembled from precomputed
 /// affine coefficient vectors (the shared-rail row in particular is built
 /// once, not re-merged per loop), so trees with K in the hundreds construct
-/// in milliseconds — the scale the async-ADMM bench and examples run at.
+/// in milliseconds — the scale the clock-tree ADMM benchmark runs at.
 ClockTreeModel make_clock_tree(const Params& params, const ClockTreeOptions& options = {});
 
 /// Closed-loop clock-tree state matrix A (x' = A x). Its off-diagonal
@@ -134,8 +135,8 @@ linalg::Matrix clock_tree_state_matrix(const LoopConstants& k,
 /// ClockTreeOptions::cluster set, the per-edge rows of each coupling family
 /// are coarsened into one aggregate observable row per cluster — same
 /// sparsity pattern and cliques, much smaller row space — so clique
-/// eigenwork can dominate the consensus-side normal solve (the async-ADMM
-/// bench regime).
+/// eigenwork can dominate the normal solve (the clock-tree ADMM benchmark
+/// regime).
 sdp::Problem clock_tree_coupling_sdp(const LoopConstants& k,
                                      const ClockTreeOptions& options);
 

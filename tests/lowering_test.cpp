@@ -4,7 +4,8 @@
 // Schur-complement geometry claim (zero overlap rows in the factored
 // system), base-space warm blobs surviving min_block_size changes via
 // per-clique remapping, the drift guard on stale canonical entry maps, and
-// bitwise thread determinism of the overlap-multiplier Schur assembly.
+// bitwise thread determinism of the overlap-multiplier Schur assembly and
+// of the ADMM clique projections.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -278,25 +279,43 @@ TEST(LoweringPipeline, DriftGuardRejectsStaleCliqueEntryMaps) {
 TEST(LoweringPipeline, OverlapMultiplierAssemblyIsThreadDeterministic) {
   // The extended Schur assembly (rows + overlap couplings) fans out on the
   // pool like the PR 4 kernels; the block elimination runs after the
-  // barrier. Iterates must be bit-identical across thread counts.
+  // barrier. The ADMM fans its per-clique projections out the same way,
+  // with the consensus multipliers updated after the join. Iterates must be
+  // bit-identical across thread counts on both backends.
   const Lowering low = sdp::lower(clock_tree_sdp(10), chordal_lowering(4));
   ASSERT_TRUE(low.decomposed());
+  const auto expect_bitwise = [](const Solution& one, const Solution& four,
+                                 const char* backend) {
+    ASSERT_EQ(one.status, four.status) << backend;
+    ASSERT_EQ(one.iterations, four.iterations) << backend;
+    EXPECT_EQ(one.primal_objective, four.primal_objective) << backend;  // bitwise
+    ASSERT_EQ(one.y.size(), four.y.size()) << backend;
+    for (std::size_t i = 0; i < one.y.size(); ++i)
+      EXPECT_EQ(one.y[i], four.y[i]) << backend;
+    ASSERT_EQ(one.x.size(), four.x.size()) << backend;
+    for (std::size_t j = 0; j < one.x.size(); ++j) {
+      for (std::size_t r = 0; r < one.x[j].rows(); ++r)
+        for (std::size_t c = 0; c < one.x[j].cols(); ++c)
+          ASSERT_EQ(one.x[j](r, c), four.x[j](r, c))
+              << backend << " " << j << " " << r << " " << c;
+    }
+  };
+
   sdp::IpmOptions serial, parallel;
   serial.threads = 1;
   parallel.threads = 4;
   sdp::SolveContext ctx1, ctx4;
-  const Solution one = sdp::IpmSolver(serial).solve(low.problem, ctx1);
-  const Solution four = sdp::IpmSolver(parallel).solve(low.problem, ctx4);
-  ASSERT_EQ(one.status, four.status);
-  ASSERT_EQ(one.iterations, four.iterations);
-  EXPECT_EQ(one.primal_objective, four.primal_objective);  // bitwise
-  ASSERT_EQ(one.y.size(), four.y.size());
-  for (std::size_t i = 0; i < one.y.size(); ++i) EXPECT_EQ(one.y[i], four.y[i]);
-  for (std::size_t j = 0; j < one.x.size(); ++j) {
-    for (std::size_t r = 0; r < one.x[j].rows(); ++r)
-      for (std::size_t c = 0; c < one.x[j].cols(); ++c)
-        ASSERT_EQ(one.x[j](r, c), four.x[j](r, c)) << j << " " << r << " " << c;
-  }
+  expect_bitwise(sdp::IpmSolver(serial).solve(low.problem, ctx1),
+                 sdp::IpmSolver(parallel).solve(low.problem, ctx4), "ipm");
+
+  sdp::AdmmOptions admm_serial, admm_parallel;
+  admm_serial.threads = 1;
+  admm_parallel.threads = 4;
+  sdp::SolveContext admm_ctx1, admm_ctx4;
+  const Solution admm_one = sdp::AdmmSolver(admm_serial).solve(low.problem, admm_ctx1);
+  EXPECT_EQ(admm_one.status, SolveStatus::Optimal);
+  expect_bitwise(admm_one, sdp::AdmmSolver(admm_parallel).solve(low.problem, admm_ctx4),
+                 "admm");
 }
 
 TEST(LoweringCache, InPlaceUpdateMatchesFreshLoweringAcrossModes) {
