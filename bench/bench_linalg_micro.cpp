@@ -1,9 +1,11 @@
 // Tiny kernel-level micro-bench: eigensolver / Cholesky / GEMM across sizes
-// 8..256, so a linalg kernel regression is caught in seconds without running
-// a full certify. Prints per-size timings, checks each kernel's result (the
-// timing loop doubles as a correctness sweep), and gates the one relation
-// the PR 4 overhaul guarantees at kernel level: tridiagonal-QL beats the
-// Jacobi reference on mid-size symmetric matrices.
+// 2..256 (2 and 25 are the clock-tree ADMM's block sizes: 192 blocks of 2x2
+// and 8 cliques of 25x25), so a linalg kernel regression is caught in
+// seconds without running a full certify. Prints per-size timings, checks
+// each kernel's result (the timing loop doubles as a correctness sweep),
+// and gates the one relation the eigensolver overhaul guarantees at kernel
+// level: tridiagonal-QL beats the Jacobi reference on mid-size symmetric
+// matrices.
 #include <cmath>
 #include <cstdio>
 
@@ -55,7 +57,7 @@ int main() {
   std::printf("%6s %12s %12s %12s %12s %12s\n", "n", "eig-ql", "eig-jacobi", "eig-values",
               "cholesky", "gemm");
   double ql64 = 0.0, jac64 = 0.0;
-  for (std::size_t n : {8u, 16u, 32u, 64u, 128u, 256u}) {
+  for (std::size_t n : {2u, 8u, 16u, 25u, 32u, 64u, 128u, 256u}) {
     util::Rng rng(n * 7 + 1);
     const Matrix sym = random_sym(n, rng);
     const Matrix spd = random_spd(n, rng);

@@ -6,11 +6,15 @@
 //  * Gram-matrix PSD margins in the independent certificate checker,
 //  * extracting SOS decompositions (square roots of Gram matrices).
 //
-// The production path (eigen_sym / eigen_values_sym) is Householder
-// tridiagonalization followed by implicit-shift QL: one O(n^3)
+// The production path (eigen_sym / eigen_values_sym / eigen_sym_rows) is
+// Householder tridiagonalization followed by implicit-shift QL: one O(n^3)
 // tridiagonalization plus an O(n^2)-per-eigenvalue QL sweep, an order of
 // magnitude faster than cyclic Jacobi (O(n^3) *per sweep*, many sweeps) at
-// the block sizes the ADMM sees. The Jacobi path is kept as a reference
+// the block sizes the ADMM sees. Both stages work on contiguous rows: the
+// reduction keeps the full symmetric matrix, and the eigenvectors are
+// accumulated as the rows of Q^T, so every QL rotation updates two rows.
+// 2x2 matrices take a closed form (eigen_sym_2x2). Non-finite input returns
+// NaN values and vectors at once. The Jacobi path is kept as a reference
 // implementation (eigen_sym_jacobi), selectable for parity tests and as the
 // fallback on the (never observed) QL non-convergence path.
 #include "linalg/matrix.hpp"
@@ -32,9 +36,31 @@ EigenSym eigen_sym(const Matrix& a);
 /// is most of the work of eigen_sym. The fast path behind min_eigenvalue.
 Vector eigen_values_sym(const Matrix& a);
 
+/// eigen_sym into caller-owned storage, allocation-free on finite input:
+/// `a` is the n x n row-major symmetric input (read only, both triangles);
+/// on return values[0, n) holds the eigenvalues ascending and qt (n x n,
+/// row major, must not alias `a`) the eigenvectors as ROWS — row k is the
+/// unit eigenvector of values[k], i.e. qt = V^T. `work` holds n doubles.
+/// The inner loop of the ADMM PSD projection.
+void eigen_sym_rows(const double* a, std::size_t n, double* values, double* qt,
+                    double* work);
+
+/// Closed-form eigendecomposition of the symmetric 2x2 [[a, b], [b, c]]
+/// (LAPACK dlaev2 formulas: one exact Jacobi rotation). lo <= hi;
+/// (cs, sn) is the unit eigenvector of lo and (-sn, cs) that of hi.
+struct Eigen2 {
+  double lo = 0.0, hi = 0.0;
+  double cs = 1.0, sn = 0.0;
+};
+Eigen2 eigen_sym_2x2(double a, double b, double c);
+
 /// Reference implementation via cyclic Jacobi rotations. Slow; kept for
 /// parity tests and as the eigen_sym fallback.
 EigenSym eigen_sym_jacobi(const Matrix& a, double tol = 1e-12, int max_sweeps = 64);
+
+/// eigen_sym_jacobi in the eigen_sym_rows layout (allocates): the QL
+/// fallback, and the ADMM projection's reference eigensolver.
+void eigen_sym_jacobi_rows(const double* a, std::size_t n, double* values, double* qt);
 
 /// Smallest eigenvalue only (values-only tridiagonal QL; no vectors).
 double min_eigenvalue(const Matrix& a);

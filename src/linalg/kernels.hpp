@@ -1,8 +1,8 @@
 #pragma once
 // ISA-dispatched dense micro-kernels behind the linalg hot paths (GEMM,
-// Cholesky, the QL eigensolver's Householder stage, ADMM eigensplit
-// reconstruction, Schur syrk updates). One Kernels table per instruction
-// set; the active table is resolved once at startup from the CPU probe
+// Cholesky, the QL eigensolver's Householder and rotation stages, Schur
+// syrk updates). One Kernels table per instruction set; the active table
+// is resolved once at startup from the CPU probe
 // (util/cpu) intersected with what the build compiled in, overridable with
 // SOSLOCK_SIMD=scalar|avx2|avx512|neon.
 //
@@ -19,9 +19,9 @@
 //     path the parity suite tests every other ISA against.
 //   - Vector tables keep the per-element accumulation *order* of the scalar
 //     path for the elementwise kernels (gemm_acc, syrk_sub_upper, axpy,
-//     sub_scaled2, split_recombine) — they differ only by FMA contraction,
-//     so parity there is a fused-multiply-add question, not a reduction-
-//     order question. The reduction kernels (dot, dot_sub and the
+//     sub_scaled2, rot) — they differ only by FMA contraction, so parity
+//     there is a fused-multiply-add question, not a reduction-order
+//     question. The reduction kernels (dot, dot_sub and the
 //     triangular solves) split sums across lanes or reorder them and are
 //     parity-tested to ulp-scaled bounds instead.
 #include <cstddef>
@@ -55,10 +55,10 @@ struct Kernels {
   void (*sub_scaled2)(double f, const double* a, double g, const double* b, double* y,
                       std::size_t n);
 
-  /// ADMM eigensplit reconstruction: splus = neg + u, xnew = rho * neg in
-  /// one streaming pass over the block.
-  void (*split_recombine)(const double* neg, const double* u, double rho, double* splus,
-                          double* xnew, std::size_t n);
+  /// Plane rotation of two rows, in place: x' = c x - s y, y' = s x + c y
+  /// (the QL eigensolver's rotation of two adjacent rows of Q^T; x and y
+  /// must not overlap).
+  void (*rot)(double c, double s, double* x, double* y, std::size_t n);
 
   /// Plain dot product (pure-sum reduction sites: Cholesky trailing syrk,
   /// Householder column norms, Frobenius inner products, gemv rows).

@@ -54,10 +54,11 @@ class AdmmEngine {
   Vector solve_y(const std::vector<Matrix>& x, const std::vector<Matrix>& s,
                  const Vector& w, double rho) const;
   /// (S, X)-update of one block: over-relaxed eigensplit projection given
-  /// the current y. Reads/writes the caller's state slots, returns the
-  /// block's scaled dual residual.
+  /// the current y, with U built in the calling worker's scratch. Overwrites
+  /// the caller's state slots in place, returns the block's scaled dual
+  /// residual.
   double project_block(std::size_t j, const Vector& y, double rho, Matrix& x_j,
-                       Matrix& s_j) const;
+                       Matrix& s_j, PsdSplitWorkspace& ws) const;
   /// w-update (multiplier ascent on B'y = f, over-relaxed step); returns the
   /// free-variable dual residual.
   double update_w(const Vector& y, Vector& w, double rho) const;
@@ -106,6 +107,7 @@ class AdmmEngine {
   SolveContext& ctx_;
   std::shared_ptr<const ProblemStructure> structure_;
   util::ThreadPool pool_;  // projection fan-out (opt_.threads)
+  std::vector<PsdSplitWorkspace> split_ws_;  // per-worker projection scratch
   PhaseTimes phase_;
   std::vector<std::vector<BlockRowView>> views_;
   std::vector<const Row*> overlap_rows_;  // native-cone couplings, rows [m, m+q)
@@ -122,33 +124,6 @@ class AdmmEngine {
   /// "primal-residual", "iterate", ...); copied to Solution::faulted_phase.
   std::string diverged_phase_;
 };
-
-/// Eigensplit of U into S = U^+ and X = -rho U^- (both PSD, complementary up
-/// to eigensolver roundoff). The negative side — the side that becomes the
-/// primal X — is reconstructed as a GEMM on the scaled eigenvector panel,
-/// U^- = (Q sqrt(-lambda))(Q sqrt(-lambda))^T, so X keeps its
-/// Gram/certificate shape by construction; the slack side falls out of
-/// U^+ = U + U^-.
-void admm_split_psd(const Matrix& u, double rho, bool use_jacobi, Matrix& splus_out,
-                    Matrix& xnew_out) {
-  const std::size_t n = u.rows();
-  const linalg::EigenSym eig = use_jacobi ? linalg::eigen_sym_jacobi(u) : linalg::eigen_sym(u);
-  std::size_t nneg = 0;  // values ascending: negatives first
-  while (nneg < n && eig.values[nneg] < 0.0) ++nneg;
-  Matrix panel(n, nneg);
-  for (std::size_t c = 0; c < nneg; ++c) {
-    const double scale = std::sqrt(-eig.values[c]);
-    for (std::size_t r = 0; r < n; ++r) panel(r, c) = eig.vectors(r, c) * scale;
-  }
-  const Matrix neg = linalg::times_transposed(panel, panel);  // U^-
-  // Fused recombination: S^+ = U + U^-, X' = rho U^- in one pass over the
-  // eigensplit output (linalg::Kernels::split_recombine).
-  Matrix pos(n, n), xnew(n, n);
-  linalg::active_kernels().split_recombine(neg.data(), u.data(), rho, pos.data(),
-                                           xnew.data(), n * n);
-  splus_out = std::move(pos);
-  xnew_out = std::move(xnew);
-}
 
 AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, SolveContext& ctx,
                        std::shared_ptr<const ProblemStructure> structure)
@@ -173,6 +148,9 @@ AdmmEngine::AdmmEngine(const Problem& p, const AdmmOptions& opt, SolveContext& c
   for (std::size_t j = 0; j < nblocks_; ++j)
     c_norm_ = std::max(c_norm_, linalg::norm_inf(p_.block_objective(j)));
   for (double fi : p_.free_objective()) c_norm_ = std::max(c_norm_, std::fabs(fi));
+  std::size_t n_max = 0;
+  for (std::size_t j = 0; j < nblocks_; ++j) n_max = std::max(n_max, p_.block_size(j));
+  split_ws_.assign(std::max<std::size_t>(1, pool_.threads()), PsdSplitWorkspace(n_max));
 }
 
 void AdmmEngine::setup_normal() {
@@ -306,27 +284,32 @@ Vector AdmmEngine::solve_y(const std::vector<Matrix>& x, const std::vector<Matri
 }
 
 double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Matrix& x_j,
-                                 Matrix& s_j) const {
+                                 Matrix& s_j, PsdSplitWorkspace& ws) const {
   // U_j = alpha (C_j - A*_j y) + (1-alpha) S_j - X_j/rho; the eigensplit
   // gives S_j = U_j^+ and X_j = -rho U_j^-, PSD by construction and
   // complementary up to eigensolver roundoff, with over-relaxation damping
   // the tail oscillation of the plain splitting.
-  Matrix u = p_.block_objective(j);
-  for (const BlockRowView& v : views_[j]) v.coeff->add_to(u, -y[v.row]);
+  const std::size_t n = x_j.rows(), nn = n * n;
+  double* u = ws.u.data();
+  const Matrix& c = p_.block_objective(j);
+  std::copy(c.data(), c.data() + nn, u);
+  for (const BlockRowView& v : views_[j]) v.coeff->add_to(u, n, -y[v.row]);
+  const linalg::Kernels& kern = linalg::active_kernels();
   if (alpha_ != 1.0) {
-    u.scale(alpha_);
-    u.axpy(1.0 - alpha_, s_j);
+    for (std::size_t i = 0; i < nn; ++i) u[i] *= alpha_;
+    kern.axpy(1.0 - alpha_, s_j.data(), u, nn);
   }
-  u.axpy(-1.0 / rho, x_j);
-  u.symmetrize();
-  Matrix splus, xnew;
-  admm_split_psd(u, rho, opt_.use_jacobi_eig, splus, xnew);
-  Matrix diff = xnew;
-  diff -= x_j;
-  const double dres = linalg::norm_inf(diff) / (rho * (1.0 + c_norm_));
-  s_j = std::move(splus);
-  x_j = std::move(xnew);
-  return dres;
+  kern.axpy(-1.0 / rho, x_j.data(), u, nn);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t q = r + 1; q < n; ++q) {
+      const double avg = 0.5 * (u[r * n + q] + u[q * n + r]);
+      u[r * n + q] = avg;
+      u[q * n + r] = avg;
+    }
+  }
+  const double dx =
+      admm_split_psd(u, n, rho, opt_.use_jacobi_eig, s_j.data(), x_j.data(), ws);
+  return dx / (rho * (1.0 + c_norm_));
 }
 
 double AdmmEngine::update_w(const Vector& y, Vector& w, double rho) const {
@@ -552,10 +535,11 @@ Solution AdmmEngine::run_sync() {
     phase_timer.reset();
     // Blocks are independent given y (read-only here): one eigendecomposition
     // per block, fanned out on the pool. Each task writes only its own
-    // x_[j] / s_[j] slot and dres slot, and the final max-reduction is
+    // x_[j] / s_[j] slot and dres slot, its worker's scratch is fully
+    // rewritten before it is read, and the final max-reduction is
     // order-independent, so results are identical across thread counts.
-    pool_.run_all(nblocks_, [&](std::size_t j) {
-      dres_per_block[j] = project_block(j, y_, rho_, x_[j], s_[j]);
+    pool_.run_all_indexed(nblocks_, [&](std::size_t worker, std::size_t j) {
+      dres_per_block[j] = project_block(j, y_, rho_, x_[j], s_[j], split_ws_[worker]);
     });
     dres = 0.0;
     for (double d : dres_per_block) dres = std::max(dres, d);
@@ -598,6 +582,52 @@ Solution AdmmEngine::run_sync() {
 }
 
 }  // namespace
+
+double admm_split_psd(const double* u, std::size_t n, double rho, bool use_jacobi,
+                      double* s, double* x, PsdSplitWorkspace& ws) {
+  double dx = 0.0;
+  if (n == 1) {
+    const double neg = std::max(-u[0], 0.0);  // U^- of a scalar
+    s[0] = u[0] + neg;
+    const double xn = rho * neg;
+    dx = std::fabs(xn - x[0]);
+    x[0] = xn;
+    return dx;
+  }
+  double* values = ws.values.data();
+  double* qt = ws.qt.data();
+  if (use_jacobi) {
+    linalg::eigen_sym_jacobi_rows(u, n, values, qt);
+  } else {
+    linalg::eigen_sym_rows(u, n, values, qt, ws.work.data());
+  }
+  // Values ascend, so the negative eigenpairs are the leading rows; scaled
+  // by sqrt(-lambda) they are the panel P with U^- = P^T P.
+  std::size_t nneg = 0;
+  while (nneg < n && values[nneg] < 0.0) ++nneg;
+  for (std::size_t k = 0; k < nneg; ++k) {
+    const double scale = std::sqrt(-values[k]);
+    for (std::size_t i = 0; i < n; ++i) qt[k * n + i] *= scale;
+  }
+  // Row r of U^- is sum_k P[k][r] P[k], built in one row buffer and
+  // recombined at once: S = U + U^-, X = rho U^-, residual on the way.
+  const linalg::Kernels& kern = linalg::active_kernels();
+  double* row = ws.work.data();
+  for (std::size_t r = 0; r < n; ++r) {
+    std::fill(row, row + n, 0.0);
+    for (std::size_t k = 0; k < nneg; ++k) kern.axpy(qt[k * n + r], qt + k * n, row, n);
+    const double* ur = u + r * n;
+    double* sr = s + r * n;
+    double* xr = x + r * n;
+    for (std::size_t c = 0; c < n; ++c) {
+      sr[c] = ur[c] + row[c];
+      const double xn = rho * row[c];
+      dx = std::max(dx, std::fabs(xn - xr[c]));
+      xr[c] = xn;
+    }
+  }
+  return dx;
+}
 
 Solution AdmmSolver::solve(const Problem& problem, SolveContext& context) const {
   // Row equilibration is the caller's job (SosProgram::solve applies it to

@@ -7,16 +7,41 @@
 //   dual:  max b'y   s.t.  C_j - sum_i y_i A_ij = S_j >= 0,   B'y = f.
 //
 // One iteration solves a cached m x m normal-equation system for y, projects
-// per block onto the PSD cone (via linalg::eigen_sym), and takes a multiplier
+// per block onto the PSD cone (admm_split_psd below), and takes a multiplier
 // ascent step in the primal (X, w). The multiplier update X_j = rho * U_j^-
 // keeps every primal block PSD by construction (a Gram product of the
 // negative eigenpanel) and complementary to S_j up to eigensolver roundoff, so
 // iterates are always certificate-shaped; accuracy is first-order (~1e-6).
+#include <cstddef>
+
+#include "linalg/matrix.hpp"
 #include "sdp/options.hpp"
 #include "sdp/problem.hpp"
 #include "sdp/solver.hpp"
 
 namespace soslock::sdp {
+
+/// One worker's scratch for admm_split_psd, sized once for the largest
+/// block: U, the eigenvectors (as rows), the eigenvalues and one work row
+/// (the eigensolver's, then the reconstruction's). The projection itself
+/// allocates nothing.
+struct PsdSplitWorkspace {
+  explicit PsdSplitWorkspace(std::size_t n_max = 0)
+      : u(n_max * n_max), qt(n_max * n_max), values(n_max), work(n_max) {}
+  linalg::AlignedVector u, qt;
+  linalg::Vector values, work;
+};
+
+/// Eigensplit of the symmetric n x n U (row major, both triangles) into
+/// S = U^+ and X = rho U^-, written over s and x in place (S - X/rho = U,
+/// both PSD and complementary up to eigensolver roundoff). n = 1 is a clamp
+/// at 0, n = 2 one closed-form rotation, larger blocks the tridiagonal QL
+/// (or the Jacobi reference when `use_jacobi`). X is rebuilt as a Gram
+/// product of the scaled negative eigenvectors, so it keeps its
+/// certificate shape by construction. Returns max |X_new - X_old|,
+/// accumulated while x is overwritten. `u` may live in ws.u.
+double admm_split_psd(const double* u, std::size_t n, double rho, bool use_jacobi,
+                      double* s, double* x, PsdSplitWorkspace& ws);
 
 class AdmmSolver : public SolverBackend {
  public:

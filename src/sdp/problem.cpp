@@ -28,9 +28,14 @@ double SparseSym::dot(const linalg::Matrix& s) const {
 }
 
 void SparseSym::add_to(linalg::Matrix& out, double scale) const {
+  assert(out.rows() == out.cols());
+  add_to(out.data(), out.cols(), scale);
+}
+
+void SparseSym::add_to(double* out, std::size_t ld, double scale) const {
   for (const Triplet& t : entries) {
-    out(t.r, t.c) += scale * t.v;
-    if (t.r != t.c) out(t.c, t.r) += scale * t.v;
+    out[t.r * ld + t.c] += scale * t.v;
+    if (t.r != t.c) out[t.c * ld + t.r] += scale * t.v;
   }
 }
 

@@ -35,6 +35,8 @@ struct SparseSym {
   double dot(const linalg::Matrix& s) const;
   /// out += scale * this (dense symmetric accumulate).
   void add_to(linalg::Matrix& out, double scale = 1.0) const;
+  /// Same on raw row-major storage with row stride `ld`.
+  void add_to(double* out, std::size_t ld, double scale) const;
   /// out = this * X (dense), using symmetry of this.
   void times_dense(const linalg::Matrix& x, linalg::Matrix& out) const;
   double frobenius_norm() const;

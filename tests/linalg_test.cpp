@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
@@ -344,6 +345,69 @@ TEST(EigenSym, TinyAndEmptyMatrices) {
   EXPECT_TRUE(eigen_sym(Matrix()).values.empty());
 }
 
+// --- closed-form 2x2 and non-finite input ----------------------------------
+
+/// eigen_sym_2x2 against the Jacobi reference, plus its own residuals:
+/// A v = lambda v for both returned pairs, unit and orthogonal vectors.
+void expect_2x2_matches_jacobi(double a, double b, double c) {
+  const Eigen2 r = eigen_sym_2x2(a, b, c);
+  const EigenSym jac = eigen_sym_jacobi(Matrix::from_rows({{a, b}, {b, c}}));
+  const double scale = std::max({std::fabs(a), std::fabs(b), std::fabs(c)});
+  const double tol = 1e-14 * scale;
+  EXPECT_LE(r.lo, r.hi);
+  EXPECT_NEAR(r.lo, jac.values[0], tol) << a << " " << b << " " << c;
+  EXPECT_NEAR(r.hi, jac.values[1], tol) << a << " " << b << " " << c;
+  EXPECT_NEAR(r.cs * r.cs + r.sn * r.sn, 1.0, 1e-15);
+  // (cs, sn) for lo, (-sn, cs) for hi.
+  EXPECT_NEAR(a * r.cs + b * r.sn, r.lo * r.cs, tol);
+  EXPECT_NEAR(b * r.cs + c * r.sn, r.lo * r.sn, tol);
+  EXPECT_NEAR(-a * r.sn + b * r.cs, -r.hi * r.sn, tol);
+  EXPECT_NEAR(-b * r.sn + c * r.cs, r.hi * r.cs, tol);
+  // eigen_sym and eigen_values_sym take the same closed form at n = 2.
+  const Matrix m = Matrix::from_rows({{a, b}, {b, c}});
+  const EigenSym es = eigen_sym(m);
+  EXPECT_EQ(es.values[0], r.lo);
+  EXPECT_EQ(es.values[1], r.hi);
+  EXPECT_EQ(eigen_values_sym(m), es.values);
+}
+
+TEST(EigenSym, ClosedForm2x2MatchesJacobi) {
+  expect_2x2_matches_jacobi(3.0, 0.0, 3.0);          // b = 0, a = c
+  expect_2x2_matches_jacobi(-2.0, 0.0, 5.0);         // already diagonal
+  expect_2x2_matches_jacobi(5.0, 1e-9, -2.0);        // |b| << |a - c|
+  expect_2x2_matches_jacobi(1.0, 1e6, 1.0 + 1e-9);   // |b| >> |a - c|
+  expect_2x2_matches_jacobi(1e150, 3e149, -2e150);   // near the overflow guard
+  expect_2x2_matches_jacobi(2e-150, -1e-150, 5e-151);  // near the underflow guard
+  expect_2x2_matches_jacobi(-4.0, 1.0, -3.0);        // negative definite
+  expect_2x2_matches_jacobi(9.0, 12.0, 16.0);        // rank-1 PSD: (3, 4)(3, 4)'
+  const Eigen2 rank1 = eigen_sym_2x2(9.0, 12.0, 16.0);
+  EXPECT_NEAR(rank1.lo, 0.0, 1e-14 * 25.0);
+  EXPECT_NEAR(rank1.hi, 25.0, 1e-14 * 25.0);
+}
+
+TEST(EigenSym, NonFiniteInputReturnsNaN) {
+  // Non-finite input short-circuits to NaN values and vectors instead of
+  // running out the QL shift budget and then every Jacobi sweep.
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  for (const std::size_t n : {2u, 3u, 25u}) {
+    for (const double bad : bad_values) {
+      util::Rng rng(n + 3);
+      Matrix a = random_matrix(n, n, rng);
+      a.symmetrize();
+      a(0, n - 1) = bad;
+      a(n - 1, 0) = bad;
+      const EigenSym es = eigen_sym(a);
+      ASSERT_EQ(es.values.size(), n);
+      for (const double v : es.values) EXPECT_TRUE(std::isnan(v)) << "n=" << n;
+      for (std::size_t e = 0; e < n * n; ++e)
+        EXPECT_TRUE(std::isnan(es.vectors.data()[e])) << "n=" << n;
+      for (const double v : eigen_values_sym(a)) EXPECT_TRUE(std::isnan(v)) << "n=" << n;
+      EXPECT_TRUE(std::isnan(min_eigenvalue(a))) << "n=" << n;
+    }
+  }
+}
+
 // --- blocked Cholesky vs unblocked reference --------------------------------
 
 /// Textbook unblocked lower Cholesky, the pre-overhaul reference.
@@ -578,17 +642,19 @@ TEST(KernelParity, ElementwiseKernelsExact) {
     const Vector x = rng.uniform_vector(n, -2.0, 2.0);
     const Vector u = rng.uniform_vector(n, -2.0, 2.0);
     const Vector y0 = rng.uniform_vector(n, -2.0, 2.0);
-    const double f = 0.77, g = -1.3, rho = 2.5;
+    const double f = 0.77, g = -1.3, cs = 0.6, sn = -0.8;
 
     Vector ax_plain = y0, ax_fma = y0, s2_plain = y0, s2_fma = y0;
-    Vector sp_ref(n), xn_ref(n);
+    Vector rx_plain(n), ry_plain(n), rx_fma(n), ry_fma(n);
     for (std::size_t i = 0; i < n; ++i) {
       ax_plain[i] += f * x[i];
       ax_fma[i] = std::fma(f, x[i], ax_fma[i]);
       s2_plain[i] -= f * x[i] + g * u[i];
       s2_fma[i] = std::fma(-g, u[i], std::fma(-f, x[i], s2_fma[i]));
-      sp_ref[i] = x[i] + u[i];
-      xn_ref[i] = rho * x[i];
+      rx_plain[i] = cs * x[i] - sn * u[i];
+      ry_plain[i] = sn * x[i] + cs * u[i];
+      rx_fma[i] = std::fma(-sn, u[i], cs * x[i]);
+      ry_fma[i] = std::fma(sn, x[i], cs * u[i]);
     }
 
     Vector y = y0;
@@ -597,10 +663,10 @@ TEST(KernelParity, ElementwiseKernelsExact) {
     y = y0;
     scalar_kernels().sub_scaled2(f, x.data(), g, u.data(), y.data(), n);
     EXPECT_EQ(max_abs_diff(y, s2_plain), 0.0) << "scalar sub_scaled2 n=" << n;
-    Vector sp(n), xn(n);
-    scalar_kernels().split_recombine(x.data(), u.data(), rho, sp.data(), xn.data(), n);
-    EXPECT_EQ(max_abs_diff(sp, sp_ref), 0.0);
-    EXPECT_EQ(max_abs_diff(xn, xn_ref), 0.0);
+    Vector rx = x, ry = u;
+    scalar_kernels().rot(cs, sn, rx.data(), ry.data(), n);
+    EXPECT_EQ(max_abs_diff(rx, rx_plain), 0.0) << "scalar rot n=" << n;
+    EXPECT_EQ(max_abs_diff(ry, ry_plain), 0.0) << "scalar rot n=" << n;
 
     for (const Kernels* t : vector_tables()) {
       y = y0;
@@ -610,10 +676,11 @@ TEST(KernelParity, ElementwiseKernelsExact) {
       t->sub_scaled2(f, x.data(), g, u.data(), y.data(), n);
       EXPECT_EQ(max_abs_diff(y, s2_fma), 0.0)
           << util::isa_name(t->isa) << " sub_scaled2 n=" << n;
-      // split_recombine has no fused contraction at all: exact on every ISA.
-      t->split_recombine(x.data(), u.data(), rho, sp.data(), xn.data(), n);
-      EXPECT_EQ(max_abs_diff(sp, sp_ref), 0.0) << util::isa_name(t->isa);
-      EXPECT_EQ(max_abs_diff(xn, xn_ref), 0.0) << util::isa_name(t->isa);
+      rx = x;
+      ry = u;
+      t->rot(cs, sn, rx.data(), ry.data(), n);
+      EXPECT_EQ(max_abs_diff(rx, rx_fma), 0.0) << util::isa_name(t->isa) << " rot n=" << n;
+      EXPECT_EQ(max_abs_diff(ry, ry_fma), 0.0) << util::isa_name(t->isa) << " rot n=" << n;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "linalg/eigen_sym.hpp"
 #include "sdp/admm.hpp"
@@ -56,6 +57,43 @@ Problem random_feasible_sdp(std::uint64_t seed, std::size_t n = 0, std::size_t m
     row.rhs = linalg::dot(dense, xstar);
     row.blocks[b] = a;
     p.add_row(std::move(row));
+  }
+  return p;
+}
+
+/// Feasible min-trace SDP over blocks of the given sizes: each block has
+/// its own rows, and a few rows couple neighbouring blocks, so the ADMM
+/// projects blocks of every size in one iteration.
+Problem mixed_block_sdp(const std::vector<std::size_t>& sizes, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Problem p;
+  std::vector<Matrix> xstar;
+  for (const std::size_t n : sizes) {
+    const std::size_t b = p.add_block(n);
+    p.set_block_objective(b, Matrix::identity(n));
+    Matrix g(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1.0, 1.0);
+    xstar.push_back(linalg::transposed_times(g, g));
+  }
+  const auto random_coeff = [&rng](std::size_t n) {
+    SparseSym a;
+    for (int k = 0; k < 3; ++k) {
+      const std::size_t r = rng.index(n), c = rng.index(n);
+      a.add(std::min(r, c), std::max(r, c), rng.uniform(-1.0, 1.0));
+    }
+    return a;
+  };
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    const bool couples = b + 1 < sizes.size();
+    const std::size_t rows = std::min<std::size_t>(sizes[b] + 1, 6) + (couples ? 1 : 0);
+    for (std::size_t i = 0; i < rows; ++i) {
+      Row row;
+      row.blocks[b] = random_coeff(sizes[b]);
+      if (couples && i + 1 == rows) row.blocks[b + 1] = random_coeff(sizes[b + 1]);
+      for (const auto& [j, a] : row.blocks) row.rhs += a.dot(xstar[j]);
+      p.add_row(std::move(row));
+    }
   }
   return p;
 }
@@ -369,6 +407,32 @@ TEST(Threading, AdmmDeterministicAcrossThreadCounts) {
   for (std::size_t i = 0; i < a.y.size(); ++i) EXPECT_EQ(a.y[i], b.y[i]) << "y[" << i << "]";
 }
 
+TEST(Threading, AdmmMixedBlockSizesDeterministicAcrossThreadCounts) {
+  // Workers reuse one projection scratch across blocks of 1, 2, 3 and 25
+  // rows in whatever order the pool hands them out: nothing a previous block
+  // left in the scratch may reach the next one, so 4 threads must reproduce
+  // the 1-thread iterate bitwise (whether or not the solve converges: this
+  // instance stops on the plateau rule after ~870 iterations).
+  const Problem p = mixed_block_sdp({25, 1, 3, 2, 25, 2, 1, 3}, 23);
+  sdp::AdmmOptions serial;
+  serial.threads = 1;
+  serial.max_iterations = 3000;
+  const Solution a = sdp::AdmmSolver(serial).solve(p);
+  sdp::AdmmOptions parallel = serial;
+  parallel.threads = 4;
+  const Solution b = sdp::AdmmSolver(parallel).solve(p);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.iterations, b.iterations);
+  ASSERT_EQ(a.y.size(), b.y.size());
+  for (std::size_t i = 0; i < a.y.size(); ++i) EXPECT_EQ(a.y[i], b.y[i]) << "y[" << i << "]";
+  ASSERT_EQ(a.x.size(), b.x.size());
+  for (std::size_t j = 0; j < a.x.size(); ++j) {
+    ASSERT_EQ(a.x[j].rows(), b.x[j].rows());
+    for (std::size_t e = 0; e < a.x[j].rows() * a.x[j].cols(); ++e)
+      ASSERT_EQ(a.x[j].data()[e], b.x[j].data()[e]) << "block " << j << " entry " << e;
+  }
+}
+
 TEST(Threading, ConfigThreadsReachesBackends) {
   sdp::SolverConfig config;
   config.threads = 3;
@@ -407,6 +471,69 @@ TEST(ReferenceKernels, AdmmEigensolverParity) {
   EXPECT_EQ(a.status, b.status);
   EXPECT_NEAR(a.primal_objective, b.primal_objective,
               1e-4 * (1.0 + std::fabs(a.primal_objective)));
+}
+
+// --- the ADMM eigensplit in isolation ---------------------------------------
+
+/// admm_split_psd on U, starting from X_old = I: checks S, X >= 0,
+/// S - X/rho = U, <S, X> = 0, symmetry, and the returned residual.
+void expect_split_properties(const Matrix& u, double rho, bool use_jacobi, Matrix& s,
+                             Matrix& x) {
+  // The Jacobi reference stops at a 1e-12 relative off-diagonal, so its
+  // eigenpairs (and with them the PSD margin of S) are that much looser;
+  // S - X/rho = U holds to roundoff on both paths by construction.
+  const double eig_tol = use_jacobi ? 1e-10 : 1e-12;
+  const std::size_t n = u.rows();
+  sdp::PsdSplitWorkspace ws(n);
+  s = Matrix(n, n, 7.0);  // stale values must be overwritten
+  x = Matrix::identity(n);
+  const double dx = sdp::admm_split_psd(u.data(), n, rho, use_jacobi, s.data(), x.data(), ws);
+  const double scale = std::max(1.0, linalg::norm_inf(u));
+  EXPECT_EQ(dx, linalg::norm_inf(x - Matrix::identity(n))) << "n=" << n;
+  Matrix back = s;
+  back.axpy(-1.0 / rho, x);
+  EXPECT_LE(linalg::norm_inf(back - u), 1e-12 * scale) << "n=" << n;
+  EXPECT_EQ(linalg::norm_inf(s - s.transposed()), 0.0) << "n=" << n;
+  EXPECT_EQ(linalg::norm_inf(x - x.transposed()), 0.0) << "n=" << n;
+  EXPECT_GE(linalg::min_eigenvalue(s), -eig_tol * scale) << "n=" << n;
+  EXPECT_GE(linalg::min_eigenvalue(x), -eig_tol * rho * scale) << "n=" << n;
+  EXPECT_LE(std::fabs(linalg::dot(s, x)),
+            eig_tol * rho * scale * scale * static_cast<double>(n))
+      << "n=" << n;
+}
+
+TEST(AdmmSplit, PsdComplementaryPartsForEveryBlockPath) {
+  const double rho = 1.7;
+  for (const double v : {-0.75, 0.6, 0.0}) {  // n = 1: the clamp at 0
+    Matrix s, x;
+    expect_split_properties(Matrix(1, 1, v), rho, false, s, x);
+    EXPECT_EQ(s(0, 0), std::max(v, 0.0));
+    EXPECT_EQ(x(0, 0), rho * std::max(-v, 0.0));
+  }
+  for (const std::size_t n : {2u, 3u, 25u}) {
+    util::Rng rng(n * 13 + 5);
+    Matrix u(n, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) u(r, c) = rng.uniform(-1.0, 1.0);
+    u.symmetrize();
+    // Indefinite, negative definite (every eigenpair goes to X) and
+    // positive definite (X = 0).
+    const double shift = static_cast<double>(n) + 1.0;
+    for (const double sigma : {0.0, -shift, shift}) {
+      Matrix us = u;
+      for (std::size_t i = 0; i < n; ++i) us(i, i) += sigma;
+      Matrix s_ql, x_ql, s_jac, x_jac;
+      expect_split_properties(us, rho, false, s_ql, x_ql);
+      expect_split_properties(us, rho, true, s_jac, x_jac);
+      // The eigensolver swap changes the split only by roundoff.
+      const double scale = std::max(1.0, linalg::norm_inf(us));
+      EXPECT_LE(linalg::norm_inf(s_ql - s_jac), 1e-9 * scale) << "n=" << n;
+      EXPECT_LE(linalg::norm_inf(x_ql - x_jac), 1e-9 * rho * scale) << "n=" << n;
+      if (sigma > 0.0) {
+        EXPECT_EQ(linalg::norm_inf(x_ql), 0.0) << "n=" << n;
+      }
+    }
+  }
 }
 
 TEST(PhaseTimers, BackendsRecordPhaseBreakdown) {
