@@ -191,6 +191,18 @@ EigenSym sorted_result(Vector d, Matrix z) {
   return out;
 }
 
+/// eigen_sym_jacobi in the eigen_sym_rows layout (allocates): the fallback
+/// when the QL does not converge.
+void eigen_sym_jacobi_rows(const double* a, std::size_t n, double* values, double* qt) {
+  Matrix copy(n, n);
+  std::copy(a, a + n * n, copy.data());
+  const EigenSym ref = eigen_sym_jacobi(copy);
+  for (std::size_t k = 0; k < n; ++k) {
+    values[k] = ref.values[k];
+    for (std::size_t i = 0; i < n; ++i) qt[k * n + i] = ref.vectors(i, k);
+  }
+}
+
 }  // namespace
 
 Eigen2 eigen_sym_2x2(double a, double b, double c) {
@@ -306,16 +318,6 @@ void eigen_sym_rows(const double* a, std::size_t n, double* values, double* qt,
     return;
   }
   sort_rows_ascending(values, qt, n);
-}
-
-void eigen_sym_jacobi_rows(const double* a, std::size_t n, double* values, double* qt) {
-  Matrix copy(n, n);
-  std::copy(a, a + n * n, copy.data());
-  const EigenSym ref = eigen_sym_jacobi(copy);
-  for (std::size_t k = 0; k < n; ++k) {
-    values[k] = ref.values[k];
-    for (std::size_t i = 0; i < n; ++i) qt[k * n + i] = ref.vectors(i, k);
-  }
 }
 
 EigenSym eigen_sym_jacobi(const Matrix& a, double tol, int max_sweeps) {

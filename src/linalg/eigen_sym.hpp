@@ -15,8 +15,8 @@
 // accumulated as the rows of Q^T, so every QL rotation updates two rows.
 // 2x2 matrices take a closed form (eigen_sym_2x2). Non-finite input returns
 // NaN values and vectors at once. The Jacobi path is kept as a reference
-// implementation (eigen_sym_jacobi), selectable for parity tests and as the
-// fallback on the (never observed) QL non-convergence path.
+// implementation (eigen_sym_jacobi): the QL is tested against it, and it is
+// the fallback on the (never observed) QL non-convergence path.
 #include "linalg/matrix.hpp"
 
 namespace soslock::linalg {
@@ -54,13 +54,9 @@ struct Eigen2 {
 };
 Eigen2 eigen_sym_2x2(double a, double b, double c);
 
-/// Reference implementation via cyclic Jacobi rotations. Slow; kept for
-/// parity tests and as the eigen_sym fallback.
+/// Reference implementation via cyclic Jacobi rotations. Slow; kept as the
+/// eigen_sym fallback and as the reference the QL is tested against.
 EigenSym eigen_sym_jacobi(const Matrix& a, double tol = 1e-12, int max_sweeps = 64);
-
-/// eigen_sym_jacobi in the eigen_sym_rows layout (allocates): the QL
-/// fallback, and the ADMM projection's reference eigensolver.
-void eigen_sym_jacobi_rows(const double* a, std::size_t n, double* values, double* qt);
 
 /// Smallest eigenvalue only (values-only tridiagonal QL; no vectors).
 double min_eigenvalue(const Matrix& a);

@@ -307,8 +307,7 @@ double AdmmEngine::project_block(std::size_t j, const Vector& y, double rho, Mat
       u[q * n + r] = avg;
     }
   }
-  const double dx =
-      admm_split_psd(u, n, rho, opt_.use_jacobi_eig, s_j.data(), x_j.data(), ws);
+  const double dx = admm_split_psd(u, n, rho, s_j.data(), x_j.data(), ws);
   return dx / (rho * (1.0 + c_norm_));
 }
 
@@ -583,8 +582,8 @@ Solution AdmmEngine::run_sync() {
 
 }  // namespace
 
-double admm_split_psd(const double* u, std::size_t n, double rho, bool use_jacobi,
-                      double* s, double* x, PsdSplitWorkspace& ws) {
+double admm_split_psd(const double* u, std::size_t n, double rho, double* s, double* x,
+                      PsdSplitWorkspace& ws) {
   double dx = 0.0;
   if (n == 1) {
     const double neg = std::max(-u[0], 0.0);  // U^- of a scalar
@@ -596,11 +595,7 @@ double admm_split_psd(const double* u, std::size_t n, double rho, bool use_jacob
   }
   double* values = ws.values.data();
   double* qt = ws.qt.data();
-  if (use_jacobi) {
-    linalg::eigen_sym_jacobi_rows(u, n, values, qt);
-  } else {
-    linalg::eigen_sym_rows(u, n, values, qt, ws.work.data());
-  }
+  linalg::eigen_sym_rows(u, n, values, qt, ws.work.data());
   // Values ascend, so the negative eigenpairs are the leading rows; scaled
   // by sqrt(-lambda) they are the panel P with U^- = P^T P.
   std::size_t nneg = 0;

@@ -35,13 +35,12 @@ struct PsdSplitWorkspace {
 /// Eigensplit of the symmetric n x n U (row major, both triangles) into
 /// S = U^+ and X = rho U^-, written over s and x in place (S - X/rho = U,
 /// both PSD and complementary up to eigensolver roundoff). n = 1 is a clamp
-/// at 0, n = 2 one closed-form rotation, larger blocks the tridiagonal QL
-/// (or the Jacobi reference when `use_jacobi`). X is rebuilt as a Gram
-/// product of the scaled negative eigenvectors, so it keeps its
-/// certificate shape by construction. Returns max |X_new - X_old|,
+/// at 0, n = 2 one closed-form rotation, larger blocks the tridiagonal QL.
+/// X is rebuilt as a Gram product of the scaled negative eigenvectors, so it
+/// keeps its certificate shape by construction. Returns max |X_new - X_old|,
 /// accumulated while x is overwritten. `u` may live in ws.u.
-double admm_split_psd(const double* u, std::size_t n, double rho, bool use_jacobi,
-                      double* s, double* x, PsdSplitWorkspace& ws);
+double admm_split_psd(const double* u, std::size_t n, double rho, double* s, double* x,
+                      PsdSplitWorkspace& ws);
 
 class AdmmSolver : public SolverBackend {
  public:

@@ -125,9 +125,8 @@ ConversionPlan plan_decomposition(const Problem& p, const ChordalOptions& option
   return plan;
 }
 
-ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion, bool at_seam) {
+ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion) {
   ChordalMap map;
-  map.original_rows = p.num_rows();
   map.original_block_sizes = p.block_sizes();
   map.block_map.assign(p.num_blocks(), ChordalMap::kNotMapped);
   const std::vector<util::CliqueForest>& forests = conversion.forests;
@@ -135,8 +134,7 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion, boo
   if (!conversion.any) return map;
 
   // Converted problem: clique blocks replace split blocks in place (order of
-  // kept blocks is preserved), original rows keep their indices, overlap
-  // rows follow.
+  // kept blocks is preserved), original rows keep their indices.
   Problem conv;
   std::vector<BlockEntryIndex> indices(p.num_blocks());
   for (std::size_t j = 0; j < p.num_blocks(); ++j) {
@@ -205,8 +203,7 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion, boo
 
   // Overlap-consistency couplings: along each clique-tree edge, tie every
   // shared entry of the child to the parent's copy. The RIP guarantees
-  // tree-edge ties chain every copy of an entry together. At the seam they
-  // become equality rows of the converted problem; natively they ride on a
+  // tree-edge ties chain every copy of an entry together. They ride on a
   // DecomposedCone descriptor and never enter the row set — the backends
   // enforce them with block-eliminated multiplier terms.
   std::size_t overlap_count = 0;
@@ -242,27 +239,22 @@ ChordalMap apply_decomposition(Problem& p, const ConversionPlan& conversion, boo
           par.add(idx.local[parent][r], idx.local[parent][c], -w);
           orow.blocks[plan.converted_block[k]] = std::move(child);
           orow.blocks[plan.converted_block[parent]] = std::move(par);
-          if (at_seam) {
-            conv.add_row(std::move(orow));
-          } else {
-            cone.overlaps.push_back(std::move(orow));
-          }
+          cone.overlaps.push_back(std::move(orow));
           ++overlap_count;
         }
       }
     }
-    if (!at_seam) conv.add_cone(std::move(cone));
+    conv.add_cone(std::move(cone));
   }
 
   util::log_debug("chordal: decomposed ", map.plans.size(), " block(s), max clique ",
-                  map.max_clique_size(), ", ", overlap_count,
-                  at_seam ? " overlap rows (seam)" : " native overlap couplings");
+                  map.max_clique_size(), ", ", overlap_count, " native overlap couplings");
   p = std::move(conv);
   return map;
 }
 
 ChordalMap chordal_decompose(Problem& p, const ChordalOptions& options) {
-  return apply_decomposition(p, plan_decomposition(p, options), options.at_seam);
+  return apply_decomposition(p, plan_decomposition(p, options));
 }
 
 namespace {
@@ -290,7 +282,7 @@ Matrix complete_block(const BlockPlan& plan, const std::vector<Matrix>& converte
       (placed[clique[a]] ? sep_local : res_local).push_back(a);
 
     // The clique's own entries; pairs already placed keep the earlier copy
-    // (equal to the overlap-row residual tolerance anyway).
+    // (equal up to the overlap residual tolerance anyway).
     for (std::size_t a = 0; a < clique.size(); ++a) {
       for (std::size_t b = a; b < clique.size(); ++b) {
         if (placed[clique[a]] && placed[clique[b]]) continue;
@@ -354,10 +346,7 @@ Solution recover_original(const Solution& converted, const ChordalMap& map) {
   out.solve_seconds = converted.solve_seconds;
   out.max_cone = converted.max_cone;
   out.w = converted.w;
-  out.y.assign(converted.y.begin(),
-               converted.y.begin() +
-                   static_cast<std::ptrdiff_t>(
-                       std::min(map.original_rows, converted.y.size())));
+  out.y = converted.y;
 
   const std::size_t nblocks = map.original_block_sizes.size();
   out.x.assign(nblocks, Matrix());
@@ -372,9 +361,9 @@ Solution recover_original(const Solution& converted, const ChordalMap& map) {
     const std::size_t n = plan.original_size;
     // Primal: clique-tree PSD completion of the partial matrix.
     out.x[plan.original_block] = complete_block(plan, converted.x);
-    // Dual slack: scatter-add (Agler) — the overlap-row multipliers cancel
-    // in +/- pairs, so the sum satisfies C - sum_i y_i A_i = Z exactly and
-    // is PSD as a sum of padded PSD blocks.
+    // Dual slack: scatter-add (Agler) — the overlap multipliers cancel in
+    // +/- pairs, so the sum satisfies C - sum_i y_i A_i = Z exactly and is
+    // PSD as a sum of padded PSD blocks.
     Matrix z(n, n);
     for (std::size_t k = 0; k < plan.forest.cliques.size(); ++k) {
       const std::size_t cb = plan.converted_block[k];
@@ -386,8 +375,8 @@ Solution recover_original(const Solution& converted, const ChordalMap& map) {
     }
     out.z[plan.original_block] = std::move(z);
   }
-  // Completion/recovery time is part of the decomposed-vs-seam trade; stamp
-  // it so PhaseTimes comparisons stay honest.
+  // Completion/recovery time is part of the decomposition's cost; stamp it
+  // so PhaseTimes comparisons against a dense solve stay honest.
   out.phase.complete += complete_timer.seconds();
   return out;
 }

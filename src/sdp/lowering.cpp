@@ -49,7 +49,7 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
     }
     SOSLOCK_VERIFY_PASS(problem, out.base_fingerprint, "decompose");
     pass_timer.reset();
-    out.map = apply_decomposition(problem, plan, options.chordal.at_seam);
+    out.map = apply_decomposition(problem, plan);
     {
       PassRecord rec;
       rec.name = "lower";
@@ -60,8 +60,8 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
       rec.fingerprint = out.lowered_fingerprint;
       rec.detail = out.map.identity()
                        ? "identity (nothing split)"
-                       : (options.chordal.at_seam ? "seam rows: " : "native cones: ") +
-                             std::to_string(out.map.plans.size()) + " cone(s), max clique " +
+                       : "native cones: " + std::to_string(out.map.plans.size()) +
+                             " cone(s), max clique " +
                              std::to_string(out.map.max_clique_size());
       rec.seconds = pass_timer.seconds();
       out.passes.push_back(std::move(rec));
@@ -109,8 +109,7 @@ Lowering lower(Problem problem, const LoweringOptions& options) {
 Solution recover(Solution solution, const Lowering& lowering) {
   // Un-scale the dual multipliers so they certify the original rows (the
   // audit and every solution.value() consumer sees the unequilibrated
-  // system). Seam overlap rows are part of the lowered row space and are
-  // dropped by recover_original below.
+  // system).
   for (std::size_t i = 0; i < solution.y.size() && i < lowering.scaling.row_scale.size();
        ++i) {
     if (lowering.scaling.row_scale[i] != 0.0) solution.y[i] /= lowering.scaling.row_scale[i];
@@ -144,10 +143,9 @@ WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering) 
   const std::size_t base_blocks = lowering.map.identity()
                                       ? lowering.problem.num_blocks()
                                       : lowering.map.original_block_sizes.size();
-  const std::size_t base_rows =
-      lowering.map.identity() ? lowering.problem.num_rows() : lowering.map.original_rows;
   if (original.x.size() != base_blocks || original.z.size() != base_blocks ||
-      original.y.size() != base_rows || original.w.size() != lowering.problem.num_free()) {
+      original.y.size() != lowering.problem.num_rows() ||
+      original.w.size() != lowering.problem.num_free()) {
     util::log_debug("lowering: warm blob shape does not match the base space; cold start");
     return out;
   }
@@ -155,11 +153,9 @@ WarmStart remap_warm_start(const WarmStart& original, const Lowering& lowering) 
   out.fingerprint = lowering.lowered_fingerprint;
   out.w = original.w;
 
-  // Row multipliers: original rows keep their indices across the lowering;
-  // seam overlap rows (appended after them) start at zero. Scale into the
-  // equilibrated row space the backend sees.
-  out.y.assign(lowering.problem.num_rows(), 0.0);
-  for (std::size_t i = 0; i < base_rows; ++i) out.y[i] = original.y[i];
+  // Row multipliers: rows keep their indices across the lowering. Scale
+  // into the equilibrated row space the backend sees.
+  out.y = original.y;
   for (std::size_t i = 0; i < out.y.size() && i < lowering.scaling.row_scale.size(); ++i)
     out.y[i] *= lowering.scaling.row_scale[i];
 
@@ -261,8 +257,7 @@ void reseed_structure(const Lowering& lowering) {
 bool LoweringCache::options_match(const LoweringOptions& options) const {
   return options.sparsity == options_.sparsity &&
          options.chordal.min_block_size == options_.chordal.min_block_size &&
-         options.chordal.max_clique_fraction == options_.chordal.max_clique_fraction &&
-         options.chordal.at_seam == options_.chordal.at_seam;
+         options.chordal.max_clique_fraction == options_.chordal.max_clique_fraction;
 }
 
 const Lowering& LoweringCache::lower(Problem problem, const LoweringOptions& options) {
@@ -364,7 +359,7 @@ bool LoweringCache::try_update(Problem& problem) {
     }
     lowering_.problem = std::move(problem);
   } else {
-    if (problem.num_rows() != map.original_rows ||
+    if (problem.num_rows() != lowering_.problem.num_rows() ||
         problem.num_free() != lowering_.problem.num_free() ||
         problem.block_sizes() != map.original_block_sizes) {
       return false;
@@ -388,10 +383,9 @@ bool LoweringCache::try_update(Problem& problem) {
       }
     }
 
-    // All guards passed — rewrite in place. Original rows keep their
-    // indices across the lowering; seam overlap rows (beyond them) and
-    // native cone couplings are structural ±1/∓0.5 weights that never
-    // change between grid points.
+    // All guards passed — rewrite in place. Rows keep their indices across
+    // the lowering; native cone couplings are structural ±1/∓0.5 weights
+    // that never change between grid points.
     auto& lrows = lowering_.problem.mutable_rows();
     for (std::size_t i = 0; i < problem.num_rows(); ++i) {
       const Row& brow = problem.rows()[i];
@@ -462,9 +456,7 @@ bool LoweringCache::try_update(Problem& problem) {
     PassRecord rec;
     rec.name = "update";
     rec.fingerprint = lowering_.lowered_fingerprint;
-    rec.detail = std::to_string(map.identity() ? lowering_.problem.num_rows()
-                                               : map.original_rows) +
-                 " row(s) rewritten in place" +
+    rec.detail = std::to_string(lowering_.problem.num_rows()) + " row(s) rewritten in place" +
                  (map.identity() ? ""
                                  : ", " + std::to_string(map.plans.size()) +
                                        " decomposed cone(s) retargeted");
@@ -473,9 +465,7 @@ bool LoweringCache::try_update(Problem& problem) {
   }
   SOSLOCK_VERIFY_PASS(lowering_.problem, lowering_.lowered_fingerprint, "update");
 
-  // Re-equilibrate the fresh values. Idempotent on what it leaves behind
-  // (a unit-inf-norm row rescales by exactly 1.0), so untouched seam rows
-  // come through verbatim.
+  // Re-equilibrate the fresh values.
   pass_timer.reset();
   lowering_.scaling = equilibrate_rows(lowering_.problem);
   {

@@ -1,5 +1,5 @@
 // Tests for the staged SOS→SDP lowering pipeline (sdp/lowering) and native
-// decomposed cones in the backends: pass provenance, native-vs-seam verdict
+// decomposed cones in the backends: pass provenance, native-vs-dense verdict
 // parity on banded SDPs and the clock-tree coupling model, the
 // Schur-complement geometry claim (zero overlap rows in the factored
 // system), base-space warm blobs surviving min_block_size changes via
@@ -71,11 +71,10 @@ Problem clock_tree_sdp(std::size_t loops) {
   return pll::clock_tree_coupling_sdp(model.constants, options);
 }
 
-LoweringOptions chordal_lowering(std::size_t min_block_size, bool at_seam = false) {
+LoweringOptions chordal_lowering(std::size_t min_block_size) {
   LoweringOptions low;
   low.sparsity = sdp::SparsityOptions::Chordal;
   low.chordal.min_block_size = min_block_size;
-  low.chordal.at_seam = at_seam;
   return low;
 }
 
@@ -114,25 +113,17 @@ TEST(LoweringPipeline, PassesRecordProvenanceAndSeedTheCache) {
 
 TEST(LoweringPipeline, NativeLoweringAddsConesNotRows) {
   const Problem original = banded_sdp(30);
-  const Lowering native = sdp::lower(banded_sdp(30), chordal_lowering(8, false));
-  const Lowering seam = sdp::lower(banded_sdp(30), chordal_lowering(8, true));
+  const Lowering native = sdp::lower(banded_sdp(30), chordal_lowering(8));
   ASSERT_TRUE(native.decomposed());
-  ASSERT_TRUE(seam.decomposed());
 
-  // Native: original row count, overlap couplings on the cone. Seam: the
-  // couplings are rows.
+  // Original row count; the overlap couplings ride on the cone.
   EXPECT_EQ(native.problem.num_rows(), original.num_rows());
   EXPECT_GT(native.problem.num_overlaps(), 0u);
   EXPECT_FALSE(native.problem.cones().empty());
-  EXPECT_EQ(seam.problem.num_rows(), original.num_rows() + native.problem.num_overlaps());
-  EXPECT_EQ(seam.problem.num_overlaps(), 0u);
-
-  // The two lowerings share the base space but are distinct structures.
-  EXPECT_EQ(native.base_fingerprint, seam.base_fingerprint);
-  EXPECT_NE(native.lowered_fingerprint, seam.lowered_fingerprint);
+  EXPECT_NE(native.base_fingerprint, native.lowered_fingerprint);
 }
 
-TEST(LoweringPipeline, NativeVsSeamVerdictParityOnBandedAndClockTree) {
+TEST(LoweringPipeline, NativeVsDenseVerdictParityOnBandedAndClockTree) {
   struct Case {
     const char* name;
     Problem problem;
@@ -146,61 +137,43 @@ TEST(LoweringPipeline, NativeVsSeamVerdictParityOnBandedAndClockTree) {
     const Solution dense_sol = sdp::IpmSolver().solve(c.problem);
     ASSERT_EQ(dense_sol.status, SolveStatus::Optimal) << c.name;
 
-    Solution recovered[2];
-    std::size_t schur_rows[2];
-    int slot = 0;
-    for (const bool at_seam : {false, true}) {
-      const Lowering low = sdp::lower(c.problem, chordal_lowering(c.min_block_size, at_seam));
-      ASSERT_TRUE(low.decomposed()) << c.name;
-      sdp::SolveContext context;
-      const Solution sol = sdp::IpmSolver().solve(low.problem, context);
-      schur_rows[slot] = sol.schur_rows;
-      recovered[slot] = sdp::recover(sol, low);
-      ++slot;
-    }
-    // Audit-identical verdicts: same status, same objective, both recover a
-    // primal-feasible PSD iterate and both match the dense solve.
-    EXPECT_EQ(recovered[0].status, recovered[1].status) << c.name;
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_EQ(recovered[i].status, SolveStatus::Optimal) << c.name;
-      EXPECT_NEAR(recovered[i].primal_objective, dense_sol.primal_objective,
-                  1e-4 * (1.0 + std::fabs(dense_sol.primal_objective)))
-          << c.name;
-      EXPECT_GE(linalg::min_eigenvalue(recovered[i].x[0]), -1e-6) << c.name;
-      EXPECT_LT(primal_violation(c.problem, recovered[i]), 1e-5) << c.name;
-      // The convert/complete phases of the lowering round trip are stamped.
-      EXPECT_GT(recovered[i].phase.convert, 0.0) << c.name;
-      EXPECT_GT(recovered[i].phase.complete, 0.0) << c.name;
-    }
+    const Lowering low = sdp::lower(c.problem, chordal_lowering(c.min_block_size));
+    ASSERT_TRUE(low.decomposed()) << c.name;
+    sdp::SolveContext context;
+    const Solution sol = sdp::IpmSolver().solve(low.problem, context);
     // Zero overlap-consistency rows in the native Schur complement: the
-    // factored system keeps the original row count, while the seam carries
-    // one extra row per overlap entry.
-    EXPECT_EQ(schur_rows[0], c.problem.num_rows()) << c.name;
-    EXPECT_GT(schur_rows[1], schur_rows[0]) << c.name;
+    // factored system keeps the original row count.
+    EXPECT_EQ(sol.schur_rows, c.problem.num_rows()) << c.name;
+    // Audit-identical verdict: the recovered iterate is optimal, primal
+    // feasible and PSD, and matches the dense solve.
+    const Solution recovered = sdp::recover(sol, low);
+    ASSERT_EQ(recovered.status, SolveStatus::Optimal) << c.name;
+    EXPECT_NEAR(recovered.primal_objective, dense_sol.primal_objective,
+                1e-4 * (1.0 + std::fabs(dense_sol.primal_objective)))
+        << c.name;
+    EXPECT_GE(linalg::min_eigenvalue(recovered.x[0]), -1e-6) << c.name;
+    EXPECT_LT(primal_violation(c.problem, recovered), 1e-5) << c.name;
+    // The convert/complete phases of the lowering round trip are stamped.
+    EXPECT_GT(recovered.phase.convert, 0.0) << c.name;
+    EXPECT_GT(recovered.phase.complete, 0.0) << c.name;
   }
 }
 
-TEST(LoweringPipeline, AdmmSolvesNativeConesWithSeamParity) {
+TEST(LoweringPipeline, AdmmSolvesNativeConesWithDenseParity) {
   const Problem original = clock_tree_sdp(6);
   const Solution dense_sol = sdp::AdmmSolver().solve(original);
   ASSERT_EQ(dense_sol.status, SolveStatus::Optimal);
 
-  Solution recovered[2];
-  for (const bool at_seam : {false, true}) {
-    const Lowering low = sdp::lower(original, chordal_lowering(4, at_seam));
-    ASSERT_TRUE(low.decomposed());
-    sdp::SolveContext context;
-    const Solution sol = sdp::AdmmSolver().solve(low.problem, context);
-    EXPECT_EQ(sol.schur_rows, at_seam ? low.problem.num_rows() : original.num_rows());
-    recovered[at_seam ? 1 : 0] = sdp::recover(sol, low);
-  }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_EQ(recovered[i].status, SolveStatus::Optimal) << i;
-    EXPECT_NEAR(recovered[i].primal_objective, dense_sol.primal_objective,
-                1e-3 * (1.0 + std::fabs(dense_sol.primal_objective)))
-        << i;
-    EXPECT_LT(primal_violation(original, recovered[i]), 1e-4) << i;
-  }
+  const Lowering low = sdp::lower(original, chordal_lowering(4));
+  ASSERT_TRUE(low.decomposed());
+  sdp::SolveContext context;
+  const Solution sol = sdp::AdmmSolver().solve(low.problem, context);
+  EXPECT_EQ(sol.schur_rows, original.num_rows());
+  const Solution recovered = sdp::recover(sol, low);
+  ASSERT_EQ(recovered.status, SolveStatus::Optimal);
+  EXPECT_NEAR(recovered.primal_objective, dense_sol.primal_objective,
+              1e-3 * (1.0 + std::fabs(dense_sol.primal_objective)));
+  EXPECT_LT(primal_violation(original, recovered), 1e-4);
 }
 
 TEST(LoweringPipeline, WarmStartSurvivesMinBlockSizeChange) {
