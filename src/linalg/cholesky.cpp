@@ -16,30 +16,16 @@ namespace {
 /// of streaming the whole matrix per column as the unblocked loop does.
 constexpr std::size_t kPanel = 48;
 
-/// In-place attempt; returns false when a non-positive pivot appears.
-/// Blocked right-looking factorization: the factor is built in the lower
-/// triangle of a working copy of `a` (plus `shift` on the diagonal); the
-/// strictly-upper part is zeroed on success.
+/// Copy of `a` plus `shift` on the diagonal, factored in place; returns
+/// false when a non-positive pivot appears. The strictly-upper part is
+/// zeroed on success.
 bool try_factor(const Matrix& a, double shift, Matrix& l) {
   const std::size_t n = a.rows();
-  const Kernels& kern = active_kernels();
   l = a;
   if (shift != 0.0) {
     for (std::size_t i = 0; i < n; ++i) l(i, i) += shift;
   }
-  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
-    const std::size_t kb = std::min(kPanel, n - k0);
-    const std::size_t t0 = k0 + kb;  // first trailing row
-    // 1+2. Factor the kb x kb diagonal block and solve the panel below it
-    //    (L21 = A21 * L11^{-T}) in one kernel call — columns < k0 were
-    //    already folded in by the trailing updates of previous rounds, so
-    //    the whole column panel is self-contained from column k0 on.
-    if (!kern.chol_factor_panel(kb, n - t0, l.row_ptr(k0) + k0, l.cols())) return false;
-    // 3. Trailing syrk update A22 -= L21 * L21^T, lower triangle only.
-    //    Vector tables may scribble on the dead strictly-upper cells of the
-    //    trailing block; the zeroing pass below reclaims them.
-    kern.chol_trailing_update(n - t0, kb, l.row_ptr(t0) + k0, l.cols());
-  }
+  if (!cholesky_in_place(l.data(), n, l.cols())) return false;
   for (std::size_t r = 0; r < n; ++r) {
     double* lr = l.row_ptr(r);
     for (std::size_t c = r + 1; c < n; ++c) lr[c] = 0.0;
@@ -54,6 +40,24 @@ double diag_scale(const Matrix& a) {
 }
 
 }  // namespace
+
+bool cholesky_in_place(double* a, std::size_t n, std::size_t ld) {
+  const Kernels& kern = active_kernels();
+  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
+    const std::size_t kb = std::min(kPanel, n - k0);
+    const std::size_t t0 = k0 + kb;  // first trailing row
+    // 1+2. Factor the kb x kb diagonal block and solve the panel below it
+    //    (L21 = A21 * L11^{-T}) in one kernel call — columns < k0 were
+    //    already folded in by the trailing updates of previous rounds, so
+    //    the whole column panel is self-contained from column k0 on.
+    if (!kern.chol_factor_panel(kb, n - t0, a + k0 * ld + k0, ld)) return false;
+    // 3. Trailing syrk update A22 -= L21 * L21^T, lower triangle only.
+    //    Vector tables may scribble on the dead strictly-upper cells of the
+    //    trailing block.
+    kern.chol_trailing_update(n - t0, kb, a + t0 * ld + k0, ld);
+  }
+  return true;
+}
 
 std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
   assert(a.rows() == a.cols());
@@ -125,13 +129,21 @@ Matrix Cholesky::solve_lower(Matrix b) const {
   return b;
 }
 
-Matrix Cholesky::inverse() const {
+void Cholesky::inverse(Matrix& out) const {
   // A^{-1} = L^{-T} L^{-1}: the multi-RHS solve on the identity. Clean up
   // roundoff asymmetry so downstream symmetric kernels see an exactly
   // symmetric inverse.
-  Matrix x = solve(Matrix::identity(l_.rows()));
-  x.symmetrize();
-  return x;
+  const std::size_t n = l_.rows();
+  if (out.rows() != n || out.cols() != n) {
+    out = Matrix(n, n);
+  } else {
+    out.fill(0.0);
+  }
+  for (std::size_t d = 0; d < n; ++d) out(d, d) = 1.0;
+  const Kernels& kern = active_kernels();
+  kern.trsm_lower(n, n, l_.data(), l_.cols(), out.data(), n);
+  kern.trsm_lower_t(n, n, l_.data(), l_.cols(), out.data(), n);
+  out.symmetrize();
 }
 
 double Cholesky::log_det() const {

@@ -36,10 +36,11 @@ class Cholesky {
   /// Solve L^T x = y (back substitution).
   Vector solve_lower_transposed(const Vector& y) const;
 
-  /// Explicit (A + shift I)^{-1} = L^{-T} L^{-1}, symmetrized: one
-  /// multi-RHS solve on the identity. Turns repeated A^{-1} S applications
-  /// into GEMMs (the IPM computes it once per block per iteration).
-  Matrix inverse() const;
+  /// Explicit (A + shift I)^{-1} = L^{-T} L^{-1}, symmetrized, into `out`:
+  /// one multi-RHS solve on the identity. Turns repeated A^{-1} S
+  /// applications into GEMMs (the IPM computes it once per block per
+  /// iteration). Allocation-free when `out` already has the factor's size.
+  void inverse(Matrix& out) const;
 
   const Matrix& lower() const { return l_; }
   double shift() const { return shift_; }
@@ -50,6 +51,13 @@ class Cholesky {
   Matrix l_;
   double shift_ = 0.0;
 };
+
+/// Blocked right-looking Cholesky of the n x n row-major `a` (leading
+/// dimension `ld`) in place: L overwrites the lower triangle, the strictly
+/// upper triangle is left unspecified. Returns false on a non-positive or
+/// non-finite pivot. The one pivot rule behind Cholesky and the IPM's
+/// step-length test.
+bool cholesky_in_place(double* a, std::size_t n, std::size_t ld);
 
 /// Convenience: is the symmetric matrix numerically positive definite
 /// (allowing diagonal shift `tol * max|diag|`)?

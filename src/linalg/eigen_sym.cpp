@@ -191,6 +191,27 @@ EigenSym sorted_result(Vector d, Matrix z) {
   return out;
 }
 
+/// Eigenvalues, unsorted, of the finite symmetric n x n (n >= 3) row-major
+/// z into d, in place: Householder tridiagonalization (z becomes scratch),
+/// then the values-only QL with e (n doubles) as the off-diagonal. The
+/// tridiagonal is kept in z for the cold path: when the QL does not
+/// converge, the Jacobi reference answers on it (the same eigenvalues; the
+/// only allocation). The one values-only body behind eigen_values_sym and
+/// min_eigenvalue_sym.
+void tridiagonal_ql_values(double* z, std::size_t n, double* d, double* e) {
+  tridiagonalize(z, n, d, e, /*want_vectors=*/false);
+  std::copy(d, d + n, z);
+  std::copy(e, e + n, z + n);
+  if (ql_implicit_shift(d, e, n, nullptr)) return;
+  Matrix t(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    t(i, i) = z[i];
+    if (i > 0) t(i, i - 1) = t(i - 1, i) = z[n + i];
+  }
+  const Vector values = eigen_sym_jacobi(t).values;
+  std::copy(values.begin(), values.end(), d);
+}
+
 /// eigen_sym_jacobi in the eigen_sym_rows layout (allocates): the fallback
 /// when the QL does not converge.
 void eigen_sym_jacobi_rows(const double* a, std::size_t n, double* values, double* qt) {
@@ -396,18 +417,26 @@ Vector eigen_values_sym(const Matrix& a) {
     const Eigen2 r = eigen_sym_2x2(a(0, 0), a(0, 1), a(1, 1));
     return {r.lo, r.hi};
   }
-  Matrix z = a;
-  Vector d(n), e(n);
-  tridiagonalize(z.data(), n, d.data(), e.data(), /*want_vectors=*/false);
-  if (!ql_implicit_shift(d.data(), e.data(), n, nullptr)) return eigen_sym_jacobi(a).values;
+  Vector z(a.data(), a.data() + n * n), d(n), e(n);
+  tridiagonal_ql_values(z.data(), n, d.data(), e.data());
   std::sort(d.begin(), d.end());
   return d;
 }
 
+double min_eigenvalue_sym(double* a, std::size_t n, double* work) {
+  if (n == 0) return 0.0;
+  if (n == 1) return a[0];
+  if (!all_finite(a, n * n)) return std::numeric_limits<double>::quiet_NaN();
+  if (n == 2) return eigen_sym_2x2(a[0], a[1], a[3]).lo;
+  tridiagonal_ql_values(a, n, work, work + n);
+  return *std::min_element(work, work + n);
+}
+
 double min_eigenvalue(const Matrix& a) {
-  if (a.rows() == 0) return 0.0;
-  if (a.rows() == 1) return a(0, 0);
-  return eigen_values_sym(a).front();
+  assert(a.rows() == a.cols());
+  const std::size_t n = a.rows();
+  Vector z(a.data(), a.data() + n * n), work(2 * n);
+  return min_eigenvalue_sym(z.data(), n, work.data());
 }
 
 Matrix sqrt_psd(const Matrix& a) {

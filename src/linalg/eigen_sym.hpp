@@ -1,6 +1,7 @@
 #pragma once
 // Symmetric eigensolvers. Used for:
-//  * exact maximum step length to the PSD cone boundary in the IPM,
+//  * the IPM's exact step length to the PSD cone boundary, on the blocks
+//    whose Cholesky step test fails (min_eigenvalue_sym),
 //  * the ADMM's per-block projection onto the PSD cone (dominant cost of
 //    first-order solves on large Gram blocks),
 //  * Gram-matrix PSD margins in the independent certificate checker,
@@ -33,7 +34,8 @@ struct EigenSym {
 EigenSym eigen_sym(const Matrix& a);
 
 /// Eigenvalues only (ascending): skips the eigenvector accumulation, which
-/// is most of the work of eigen_sym. The fast path behind min_eigenvalue.
+/// is most of the work of eigen_sym. Shares its tridiagonal QL body with
+/// min_eigenvalue_sym.
 Vector eigen_values_sym(const Matrix& a);
 
 /// eigen_sym into caller-owned storage, allocation-free on finite input:
@@ -60,6 +62,14 @@ EigenSym eigen_sym_jacobi(const Matrix& a, double tol = 1e-12, int max_sweeps = 
 
 /// Smallest eigenvalue only (values-only tridiagonal QL; no vectors).
 double min_eigenvalue(const Matrix& a);
+
+/// min_eigenvalue on raw storage, in place and allocation-free on finite
+/// input: `a` is the n x n row-major symmetric input (both triangles read)
+/// and is overwritten; `work` holds 2n doubles. No copy and no sort: the
+/// minimum of the values-only QL's eigenvalues. n = 1 returns a[0] as is;
+/// other non-finite input returns NaN; n = 2 takes the closed form. The
+/// IPM's step-length kernel calls it on the blocks that limit the step.
+double min_eigenvalue_sym(double* a, std::size_t n, double* work);
 
 /// Symmetric square root A^{1/2} (clamps tiny negative eigenvalues to 0).
 Matrix sqrt_psd(const Matrix& a);

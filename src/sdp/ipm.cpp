@@ -8,6 +8,7 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
+#include "linalg/kernels.hpp"
 #include "sdp/elimination.hpp"
 #include "sdp/structure.hpp"
 #include "util/fault.hpp"
@@ -19,6 +20,7 @@ namespace soslock::sdp {
 namespace {
 
 using linalg::Cholesky;
+using linalg::Kernels;
 using linalg::Matrix;
 using linalg::Vector;
 
@@ -32,27 +34,6 @@ struct State {
   Vector y;                  // equality + overlap multipliers (m + q)
   Vector w;                  // free variables
 };
-
-/// T = L^{-1} S L^{-T} for symmetric S given the Cholesky factor L.
-Matrix congruence_inv(const Cholesky& chol, const Matrix& s) {
-  // F = L^{-1} S, then T = L^{-1} F^T (T is symmetric, so T = T^T): two
-  // multi-RHS forward solves around an in-place transpose, no temporary.
-  Matrix t = chol.solve_lower(s);
-  for (std::size_t i = 0; i < t.rows(); ++i)
-    for (std::size_t j = 0; j < i; ++j) std::swap(t(i, j), t(j, i));
-  t = chol.solve_lower(std::move(t));
-  t.symmetrize();
-  return t;
-}
-
-/// Largest alpha in (0, cap] with X + alpha*dX PSD, given chol(X).
-double max_step(const Cholesky& chol_x, const Matrix& dx, double cap) {
-  if (dx.rows() == 0) return cap;
-  const Matrix s = congruence_inv(chol_x, dx);
-  const double lambda_min = linalg::min_eigenvalue(s);
-  if (lambda_min >= -1e-13) return cap;
-  return std::min(cap, -1.0 / lambda_min);
-}
 
 struct Residuals {
   Vector rp;                 // primal: b - A(X) - B w
@@ -102,7 +83,21 @@ class Ipm {
                                 touching[b].coeff->entries.size();
                        });
     }
-    panel_scratch_.resize(std::max<std::size_t>(1, pool_.threads()));
+    // Per-block iteration state and per-worker scratch, sized once here so
+    // the iteration itself allocates nothing per block: every factor,
+    // inverse, RHS block and Newton direction is rewritten in place.
+    std::size_t nmax = 1;
+    for (std::size_t j = 0; j < nblocks_; ++j) nmax = std::max(nmax, p_.block_size(j));
+    scratch_.assign(std::max<std::size_t>(1, pool_.threads()),
+                    linalg::AlignedVector(std::max(max_step_scratch(nmax), 2 * nmax * nmax)));
+    for (std::vector<Matrix>* set : {&zinv_, &e_, &dx_, &dz_, &dx_aff_, &dz_aff_, &corr_}) {
+      set->reserve(nblocks_);
+      for (std::size_t j = 0; j < nblocks_; ++j) set->emplace_back(p_.block_size(j), p_.block_size(j));
+    }
+    chol_x_.resize(nblocks_);
+    chol_z_.resize(nblocks_);
+    aps_.resize(nblocks_);
+    ads_.resize(nblocks_);
     data_norm_ = 1.0;
     for (std::size_t i = 0; i < m_; ++i) data_norm_ = std::max(data_norm_, std::fabs(p_.rhs(i)));
     c_norm_ = 1.0;
@@ -133,6 +128,7 @@ class Ipm {
     Solution best;
     double best_merit = std::numeric_limits<double>::infinity();
     int stagnant_iterations = 0;
+    Residuals res;
 
     for (int iter = 0; iter < opt_.max_iterations; ++iter) {
       // Injected iterate poisoning: the NaN-leak failure mode the watchdog
@@ -144,7 +140,7 @@ class Ipm {
           s.x[0](0, 0) = std::numeric_limits<double>::quiet_NaN();
         }
       });
-      const Residuals res = residuals(s);
+      residuals(s, res);
       const double mu = complementarity(s);
       const double gap = relative_gap(s);
 
@@ -341,8 +337,9 @@ class Ipm {
   }
   double rhs_at(std::size_t i) const { return i < m_ ? p_.rhs(i) : 0.0; }
 
-  Residuals residuals(const State& s) const {
-    Residuals r;
+  /// The residuals of `s` into `r`, whose storage is reused across
+  /// iterations.
+  void residuals(const State& s, Residuals& r) const {
     // Overlap couplings are primal feasibility too: rp's tail [m, m+q) is
     // the clique-copy consistency gap, so rp_rel only reaches tolerance
     // when the decomposed cone agrees on its separators.
@@ -357,11 +354,11 @@ class Ipm {
     r.rd.resize(nblocks_);
     double rd_norm = 0.0;
     for (std::size_t j = 0; j < nblocks_; ++j) {
-      Matrix rd = p_.block_objective(j);
+      Matrix& rd = r.rd[j];
+      rd = p_.block_objective(j);
       rd -= s.z[j];
       for (const BlockRowView& v : views_[j]) v.coeff->add_to(rd, -s.y[v.row]);
       rd_norm = std::max(rd_norm, linalg::norm_inf(rd));
-      r.rd[j] = std::move(rd);
     }
     r.rf = p_.free_objective();
     for (std::size_t i = 0; i < m_; ++i) {
@@ -372,7 +369,6 @@ class Ipm {
     r.rp_rel = linalg::norm_inf(r.rp) / (1.0 + data_norm_);
     r.rd_rel = rd_norm / (1.0 + c_norm_);
     r.rf_rel = linalg::norm_inf(r.rf) / (1.0 + c_norm_);
-    return r;
   }
 
   bool detect_primal_infeasible(const State& s, const Residuals& res) const {
@@ -404,22 +400,19 @@ class Ipm {
   /// solves). Panels are independent across rows, so they fan out on the
   /// pool; every (i, k) entry is written by exactly one task and blocks are
   /// accumulated in a fixed sequential order, which makes the assembly
-  /// bit-identical across thread counts.
-  void assemble_schur(const State& s, const std::vector<Matrix>& zinv, Matrix& schur) {
+  /// bit-identical across thread counts. Each worker builds its panels in
+  /// its own scratch, packed n x n.
+  void assemble_schur(const State& s, Matrix& schur) {
     for (std::size_t j = 0; j < nblocks_; ++j) {
       const auto& touching = views_[j];
       if (touching.empty()) continue;
       const std::size_t n = p_.block_size(j);
-      const Matrix& zi = zinv[j];
+      const Matrix& zi = zinv_[j];
       const Matrix& xj = s.x[j];
       const auto& order = schur_order_[j];
       auto panel_task = [&](std::size_t w, std::size_t p) {
-        Matrix& panel = panel_scratch_[w];
-        if (panel.rows() != n || panel.cols() != n) {
-          panel = Matrix(n, n);
-        } else {
-          panel.fill(0.0);
-        }
+        double* panel = scratch_[w].data();
+        std::fill(panel, panel + n * n, 0.0);
         const BlockRowView& vi = touching[order[p]];
         // panel = Z^{-1} A_i X = sum over triplets v (zinv_col_r x_row_c +
         // [r != c] zinv_col_c x_row_r); zinv is symmetric, so its columns
@@ -440,7 +433,7 @@ class Ipm {
           // off-diagonal triplets.
           double acc = 0.0;
           for (const Triplet& t : vk.coeff->entries) {
-            const double sym = 0.5 * (panel(t.r, t.c) + panel(t.c, t.r));
+            const double sym = 0.5 * (panel[t.r * n + t.c] + panel[t.c * n + t.r]);
             acc += (t.r == t.c ? 1.0 : 2.0) * t.v * sym;
           }
           std::size_t r1 = vi.row, r2 = vk.row;
@@ -466,14 +459,39 @@ class Ipm {
     }
   }
 
-  static void add_scaled_outer(Matrix& out, double v, const double* u,
-                               const double* w, std::size_t n) {
+  /// out (n x n, packed) += v u w^T.
+  static void add_scaled_outer(double* out, double v, const double* u, const double* w,
+                               std::size_t n) {
     for (std::size_t a = 0; a < n; ++a) {
       const double f = v * u[a];
       if (f == 0.0) continue;
-      double* row = out.row_ptr(a);
+      double* row = out + a * n;
       for (std::size_t b = 0; b < n; ++b) row[b] += f * w[b];
     }
+  }
+
+  /// out = nu Z^{-1} - X - Z^{-1} (M X + Corr), symmetrized: the HKM
+  /// direction's X part on one block, with M = Rd for the RHS block E_j and
+  /// M = dZ for dX_j. Both products are gemm_acc into zeroed storage, the
+  /// arithmetic of operator*; M X (+ Corr) lives in `tmp`, n*n doubles of
+  /// per-worker scratch.
+  static void hkm_block(const Matrix& m, const Matrix& x, const Matrix& zinv, const Matrix* corr,
+                        double nu, double* tmp, Matrix& out) {
+    const std::size_t n = x.rows();
+    const std::size_t nn = n * n;
+    const Kernels& kern = linalg::active_kernels();
+    std::fill(tmp, tmp + nn, 0.0);
+    kern.gemm_acc(n, n, n, m.data(), n, x.data(), n, tmp, n);
+    if (corr != nullptr) {
+      const double* c = corr->data();
+      for (std::size_t i = 0; i < nn; ++i) tmp[i] += c[i];
+    }
+    out.fill(0.0);
+    kern.gemm_acc(n, n, n, zinv.data(), n, tmp, n, out.data(), n);
+    out.scale(-1.0);
+    out -= x;
+    if (nu != 0.0) out.axpy(nu, zinv);
+    out.symmetrize();
   }
 
   /// One predictor-corrector step; returns false on numerical breakdown.
@@ -486,13 +504,12 @@ class Ipm {
     // Factor all Z and X blocks and form the explicit Z^{-1} (used by the
     // Schur panels, the RHS assembly and the direction recovery — computing
     // it once per block per iteration replaces three rounds of per-column
-    // triangular solves with GEMMs). Blocks are independent: fan out.
-    std::vector<Cholesky> chol_z(nblocks_), chol_x(nblocks_);
-    std::vector<Matrix> zinv(nblocks_);
+    // triangular solves with GEMMs), each into its block's own storage.
+    // Blocks are independent: fan out.
     pool_.run_all(nblocks_, [&](std::size_t j) {
-      chol_z[j] = Cholesky::factor_shifted(s.z[j]);
-      chol_x[j] = Cholesky::factor_shifted(s.x[j]);
-      zinv[j] = chol_z[j].inverse();
+      chol_z_[j].refactor_shifted(s.z[j]);
+      chol_x_[j].refactor_shifted(s.x[j]);
+      chol_z_[j].inverse(zinv_[j]);
     });
     phase_.factor += phase_timer.seconds();
 
@@ -505,7 +522,7 @@ class Ipm {
       schur_.fill(0.0);
     }
     Matrix& schur = schur_;
-    assemble_schur(s, zinv, schur);
+    assemble_schur(s, schur);
     phase_.schur += phase_timer.seconds();
 
     // Overlap multipliers are block-eliminated, never factored with the
@@ -595,91 +612,80 @@ class Ipm {
     // The per-block E_j are independent GEMMs on the precomputed Z^{-1}
     // (fan out on the pool); the row accumulation runs sequentially because
     // a row may touch several blocks.
-    auto build_r1 = [&](double nu, const std::vector<Matrix>* corr) {
+    auto build_r1 = [&](double nu, bool with_corr) {
       Vector r1 = res.rp;
-      std::vector<Matrix> e(nblocks_);
-      pool_.run_all(nblocks_, [&](std::size_t j) {
+      pool_.run_all_indexed(nblocks_, [&](std::size_t w, std::size_t j) {
         if (views_[j].empty()) return;
-        // E_j = nu Z^{-1} - X - Z^{-1} (Rd X + Corr).
-        Matrix rdx = res.rd[j] * s.x[j];
-        if (corr != nullptr) rdx += (*corr)[j];
-        Matrix ej = zinv[j] * rdx;
-        ej.scale(-1.0);
-        ej -= s.x[j];
-        if (nu != 0.0) ej.axpy(nu, zinv[j]);
-        ej.symmetrize();
-        e[j] = std::move(ej);
+        hkm_block(res.rd[j], s.x[j], zinv_[j], with_corr ? &corr_[j] : nullptr, nu,
+                  scratch_[w].data(), e_[j]);
       });
       for (std::size_t j = 0; j < nblocks_; ++j) {
-        if (views_[j].empty()) continue;
-        for (const BlockRowView& v : views_[j]) r1[v.row] -= v.coeff->dot(e[j]);
+        for (const BlockRowView& v : views_[j]) r1[v.row] -= v.coeff->dot(e_[j]);
       }
       return r1;
     };
 
-    auto recover_dxdz = [&](const Vector& dy, double nu, const std::vector<Matrix>* corr,
-                            std::vector<Matrix>& dx, std::vector<Matrix>& dz) {
-      dx.resize(nblocks_);
-      dz.resize(nblocks_);
-      pool_.run_all(nblocks_, [&](std::size_t j) {
-        Matrix dzj = res.rd[j];
+    // dZ = Rd - sum_i dy_i A_i and dX = nu Z^{-1} - X - Z^{-1} (dZ X + Corr),
+    // into the per-block buffers dx and dz.
+    auto recover_dxdz = [&](const Vector& dy, double nu, bool with_corr, std::vector<Matrix>& dx,
+                            std::vector<Matrix>& dz) {
+      pool_.run_all_indexed(nblocks_, [&](std::size_t w, std::size_t j) {
+        Matrix& dzj = dz[j];
+        dzj = res.rd[j];
         for (const BlockRowView& v : views_[j]) v.coeff->add_to(dzj, -dy[v.row]);
-        // dX = nu Z^{-1} - X - Z^{-1} (dZ X + Corr), symmetrized.
-        Matrix rhs = dzj * s.x[j];
-        if (corr != nullptr) rhs += (*corr)[j];
-        Matrix dxj = zinv[j] * rhs;
-        dxj.scale(-1.0);
-        dxj -= s.x[j];
-        if (nu != 0.0) dxj.axpy(nu, zinv[j]);
-        dxj.symmetrize();
-        dx[j] = std::move(dxj);
-        dz[j] = std::move(dzj);
+        hkm_block(dzj, s.x[j], zinv_[j], with_corr ? &corr_[j] : nullptr, nu,
+                  scratch_[w].data(), dx[j]);
       });
     };
 
-    // Max PSD step lengths over all blocks (one eigendecomposition per
-    // block; independent, order-insensitive min-reduction).
+    // Max PSD step lengths over all blocks (max_step: a Cholesky test per
+    // block, an eigenvalue only where it binds; independent,
+    // order-insensitive min-reduction).
     auto step_lengths = [&](const std::vector<Matrix>& dx_c, const std::vector<Matrix>& dz_c,
                             double cap, double& ap_out, double& ad_out) {
       util::Timer eig_timer;
-      Vector aps(nblocks_, cap), ads(nblocks_, cap);
-      pool_.run_all(nblocks_, [&](std::size_t j) {
-        aps[j] = max_step(chol_x[j], dx_c[j], cap);
-        ads[j] = max_step(chol_z[j], dz_c[j], cap);
+      pool_.run_all_indexed(nblocks_, [&](std::size_t w, std::size_t j) {
+        double* scratch = scratch_[w].data();
+        aps_[j] = max_step(s.x[j], chol_x_[j], dx_c[j], cap, scratch);
+        ads_[j] = max_step(s.z[j], chol_z_[j], dz_c[j], cap, scratch);
       });
       ap_out = cap;
       ad_out = cap;
       for (std::size_t j = 0; j < nblocks_; ++j) {
-        ap_out = std::min(ap_out, aps[j]);
-        ad_out = std::min(ad_out, ads[j]);
+        ap_out = std::min(ap_out, aps_[j]);
+        ad_out = std::min(ad_out, ads_[j]);
       }
       phase_.eig += eig_timer.seconds();
     };
 
+    const Kernels& kern = linalg::active_kernels();
     Vector dy, dw;
-    std::vector<Matrix> dx, dz;
     double sigma = 0.2;
 
     util::Timer recover_timer;
     if (opt_.predictor_corrector && total_dim_ > 0) {
       // Predictor: pure Newton (nu = 0).
-      const Vector r1_aff = build_r1(0.0, nullptr);
+      const Vector r1_aff = build_r1(0.0, false);
       Vector dy_aff, dw_aff;
       solve_kkt(r1_aff, res.rf, dy_aff, dw_aff);
-      std::vector<Matrix> dx_aff, dz_aff;
-      recover_dxdz(dy_aff, 0.0, nullptr, dx_aff, dz_aff);
+      recover_dxdz(dy_aff, 0.0, false, dx_aff_, dz_aff_);
       phase_.recover += recover_timer.seconds();
 
       double ap = 1.0, ad = 1.0;
-      step_lengths(dx_aff, dz_aff, 1.0, ap, ad);
+      step_lengths(dx_aff_, dz_aff_, 1.0, ap, ad);
       recover_timer.reset();
+      // <X + ap dX, Z + ad dZ> per block, the two trial points formed in
+      // scratch, summed in block order.
       double mu_aff = 0.0;
+      double* xa = scratch_[0].data();
       for (std::size_t j = 0; j < nblocks_; ++j) {
-        Matrix xa = s.x[j];
-        xa.axpy(ap, dx_aff[j]);
-        Matrix za = s.z[j];
-        za.axpy(ad, dz_aff[j]);
-        mu_aff += linalg::dot(xa, za);
+        const std::size_t nn = s.x[j].rows() * s.x[j].cols();
+        double* za = xa + nn;
+        std::copy(s.x[j].data(), s.x[j].data() + nn, xa);
+        kern.axpy(ap, dx_aff_[j].data(), xa, nn);
+        std::copy(s.z[j].data(), s.z[j].data() + nn, za);
+        kern.axpy(ad, dz_aff_[j].data(), za, nn);
+        mu_aff += kern.dot(xa, za, nn);
       }
       mu_aff /= static_cast<double>(total_dim_);
       const double ratio = mu > 0.0 ? mu_aff / mu : 0.0;
@@ -691,23 +697,25 @@ class Ipm {
       if (mu < 0.1 * infeas) sigma = std::max(sigma, 0.9);
 
       // Corrector with second-order term dZ_aff * dX_aff.
-      std::vector<Matrix> corr(nblocks_);
-      pool_.run_all(nblocks_,
-                    [&](std::size_t j) { corr[j] = dz_aff[j] * dx_aff[j]; });
-      const Vector r1 = build_r1(sigma * mu, &corr);
+      pool_.run_all(nblocks_, [&](std::size_t j) {
+        const std::size_t n = corr_[j].rows();
+        corr_[j].fill(0.0);
+        kern.gemm_acc(n, n, n, dz_aff_[j].data(), n, dx_aff_[j].data(), n, corr_[j].data(), n);
+      });
+      const Vector r1 = build_r1(sigma * mu, true);
       solve_kkt(r1, res.rf, dy, dw);
-      recover_dxdz(dy, sigma * mu, &corr, dx, dz);
+      recover_dxdz(dy, sigma * mu, true, dx_, dz_);
       phase_.recover += recover_timer.seconds();
     } else {
-      const Vector r1 = build_r1(sigma * mu, nullptr);
+      const Vector r1 = build_r1(sigma * mu, false);
       solve_kkt(r1, res.rf, dy, dw);
-      recover_dxdz(dy, sigma * mu, nullptr, dx, dz);
+      recover_dxdz(dy, sigma * mu, false, dx_, dz_);
       phase_.recover += recover_timer.seconds();
     }
 
     // Step lengths.
     double ap = 1.0, ad = 1.0;
-    step_lengths(dx, dz, 1.0 / opt_.step_fraction, ap, ad);
+    step_lengths(dx_, dz_, 1.0 / opt_.step_fraction, ap, ad);
     ap = std::min(opt_.step_fraction * ap, 1.0);
     ad = std::min(opt_.step_fraction * ad, 1.0);
     if (!(ap > 1e-10) || !(ad > 1e-10)) {
@@ -716,8 +724,8 @@ class Ipm {
     }
 
     for (std::size_t j = 0; j < nblocks_; ++j) {
-      s.x[j].axpy(ap, dx[j]);
-      s.z[j].axpy(ad, dz[j]);
+      s.x[j].axpy(ap, dx_[j]);
+      s.z[j].axpy(ad, dz_[j]);
     }
     linalg::axpy(ad, dy, s.y);
     // w is a *primal* variable: it must advance with the primal step so that
@@ -755,7 +763,17 @@ class Ipm {
   std::vector<std::vector<std::size_t>> schur_order_;
   Matrix bmat_;  // free-variable coupling B (m x nf); iteration-invariant
   util::ThreadPool pool_;
-  std::vector<Matrix> panel_scratch_;  // per-worker Schur panel workspace
+  /// Per-worker scratch for the largest block n: the Schur panel and the
+  /// HKM product temporary (n^2 each), the step test (max_step_scratch(n))
+  /// and the two mu_aff trial points (2 n^2), packed for a block of size n.
+  std::vector<linalg::AlignedVector> scratch_;
+  /// Per-block factors of the iterate and Z^{-1}, refactored in place.
+  std::vector<Cholesky> chol_x_, chol_z_;
+  std::vector<Matrix> zinv_;
+  /// Per-block RHS blocks E_j, Newton directions (predictor and final) and
+  /// the second-order corrector term dZ_aff dX_aff.
+  std::vector<Matrix> e_, dx_, dz_, dx_aff_, dz_aff_, corr_;
+  Vector aps_, ads_;  // per-block primal and dual step lengths
   PhaseTimes phase_;
   /// The Schur complement and its factor keep their storage across
   /// iterations (the size is fixed per solve) instead of allocating two
@@ -768,6 +786,40 @@ class Ipm {
 };
 
 }  // namespace
+
+double max_step(const Matrix& x, const Cholesky& chol_x, const Matrix& dx, double cap,
+                double* scratch) {
+  const std::size_t n = dx.rows();
+  if (n == 0) return cap;
+  const std::size_t nn = n * n;
+  double* t = scratch;
+  const double* xd = x.data();
+  const double* dd = dx.data();
+  // Cholesky first: X + shift I + cap dX = L (I + cap S) L^T factors
+  // exactly when the step does not bind.
+  for (std::size_t i = 0; i < nn; ++i) t[i] = xd[i] + cap * dd[i];
+  for (std::size_t d = 0; d < n; ++d) t[d * n + d] += chol_x.shift();
+  if (linalg::cholesky_in_place(t, n, n)) return cap;
+  // The block binds: S = L^{-1} dX L^{-T} as F = L^{-1} dX, then
+  // L^{-1} F^T (S is symmetric): two multi-RHS forward solves around an
+  // in-place transpose, symmetrized.
+  const Kernels& kern = linalg::active_kernels();
+  const Matrix& l = chol_x.lower();
+  std::copy(dd, dd + nn, t);
+  kern.trsm_lower(n, n, l.data(), l.cols(), t, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) std::swap(t[i * n + j], t[j * n + i]);
+  kern.trsm_lower(n, n, l.data(), l.cols(), t, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = r + 1; c < n; ++c) {
+      const double avg = 0.5 * (t[r * n + c] + t[c * n + r]);
+      t[r * n + c] = avg;
+      t[c * n + r] = avg;
+    }
+  const double lambda_min = linalg::min_eigenvalue_sym(t, n, t + nn);
+  if (lambda_min >= -1e-13) return cap;
+  return std::min(cap, -1.0 / lambda_min);
+}
 
 Solution IpmSolver::solve(const Problem& problem, SolveContext& context) const {
   // Row equilibration is the caller's job (SosProgram::solve applies it to

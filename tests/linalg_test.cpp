@@ -460,12 +460,19 @@ TEST(Cholesky, BlockedShiftedIndefinitePath) {
 }
 
 TEST(Cholesky, ExplicitInverse) {
+  // One output matrix across sizes: resized when the size changes, and
+  // overwritten in full when it does not (the stale NaN fill never leaks).
   util::Rng rng(59);
+  Matrix inv;
   for (std::size_t n : {1u, 6u, 60u}) {
     const Matrix a = random_spd(n, rng);
     const auto chol = Cholesky::factor(a);
     ASSERT_TRUE(chol.has_value());
-    const Matrix inv = chol->inverse();
+    chol->inverse(inv);
+    const Matrix first = inv;
+    inv.fill(std::nan(""));
+    chol->inverse(inv);
+    EXPECT_EQ(norm_inf(inv - first), 0.0) << "n=" << n;
     EXPECT_LT(norm_inf(a * inv - Matrix::identity(n)), 1e-7);
     // Symmetrized output.
     for (std::size_t r = 0; r < n; ++r)
@@ -882,7 +889,7 @@ TEST(KernelParity, MultiRhsSubstitutionParity) {
 
 TEST(Cholesky, MultiRhsMatchesPerColumnSolves) {
   // The row-oriented multi-RHS substitutions (solve(Matrix), solve_lower(
-  // Matrix), inverse()) against per-column Vector solves, under the scalar
+  // Matrix), inverse) against per-column Vector solves, under the scalar
   // table and every compiled vector table. Sizes straddle the 48-wide
   // factor panel; k = 0 is the empty right-hand side.
   const util::SimdIsa startup = active_isa();
@@ -921,7 +928,8 @@ TEST(Cholesky, MultiRhsMatchesPerColumnSolves) {
               << util::isa_name(isa) << " solve_lower n=" << n << " k=" << k;
         }
       }
-      const Matrix inv = chol->inverse();
+      Matrix inv;
+    chol->inverse(inv);
       Matrix inv_ref(n, n);
       for (std::size_t j = 0; j < n; ++j) {
         Vector e(n, 0.0);

@@ -1,8 +1,13 @@
 // Tests for the interior-point SDP solver on problems with known solutions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "sdp/ipm.hpp"
 #include "sdp/problem.hpp"
@@ -12,6 +17,7 @@
 namespace soslock::sdp {
 namespace {
 
+using linalg::Cholesky;
 using linalg::Matrix;
 
 IpmOptions quiet() {
@@ -410,6 +416,148 @@ TEST(Ipm, PlainCenteringConverges) {
   const Solution sol = IpmSolver(o).solve(p);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.primal_objective, 2.0, 1e-4);
+}
+
+
+// --- PSD step-length kernel against the eigenvalue reference ----------------
+
+Matrix random_symmetric(std::size_t n, util::Rng& rng) {
+  Matrix a(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
+  a.symmetrize();
+  return a;
+}
+
+Matrix random_spd(std::size_t n, util::Rng& rng) {
+  Matrix g(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) g(r, c) = rng.uniform(-1.0, 1.0);
+  Matrix x = linalg::times_transposed(g, g);
+  for (std::size_t d = 0; d < n; ++d) x(d, d) += static_cast<double>(n);
+  return x;
+}
+
+/// The eigenvalue step length: the largest alpha <= cap with
+/// I + alpha L^{-1} dX L^{-T} PSD, from min_eigenvalue of the congruence.
+double reference_step(const Cholesky& chol, const Matrix& dx, double cap) {
+  Matrix s = chol.solve_lower(chol.solve_lower(dx).transposed());
+  s.symmetrize();
+  const double lambda = linalg::min_eigenvalue(s);
+  return lambda < 0.0 ? std::min(cap, -1.0 / lambda) : cap;
+}
+
+/// max_step on scratch poisoned with NaN, so nothing a previous call left
+/// there can reach the result.
+double kernel_step(const Matrix& x, const Cholesky& chol, const Matrix& dx, double cap) {
+  std::vector<double> scratch(max_step_scratch(x.rows()),
+                              std::numeric_limits<double>::quiet_NaN());
+  return max_step(x, chol, dx, cap, scratch.data());
+}
+
+void expect_step_matches_reference(const Matrix& x, const Matrix& dx, double cap,
+                                   const std::string& what) {
+  const Cholesky chol = Cholesky::factor_shifted(x);
+  const double ref = reference_step(chol, dx, cap);
+  const double got = kernel_step(x, chol, dx, cap);
+  EXPECT_LE(std::fabs(got - ref), 1e-12 * ref) << what << ": kernel " << got << " ref " << ref;
+  if (ref < cap * (1.0 - 1e-10)) {
+    EXPECT_LT(got, cap) << what;
+  }
+}
+
+TEST(StepLength, CholeskyFirstMatchesEigenvalueReference) {
+  util::Rng rng(71);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 8u, 25u}) {
+    for (const double cap : {1.0, 1.0 / 0.98}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::string tag = "n=" + std::to_string(n) + " cap=" + std::to_string(cap) +
+                                " trial=" + std::to_string(trial);
+        const Matrix x = random_spd(n, rng);
+        const Cholesky chol = Cholesky::factor_shifted(x);
+        ASSERT_EQ(chol.shift(), 0.0);
+        // PSD direction: never binds, the step is exactly cap.
+        Matrix g = random_symmetric(n, rng);
+        const Matrix psd = linalg::times_transposed(g, g);
+        EXPECT_EQ(kernel_step(x, chol, psd, cap), cap) << tag << " psd";
+        // Indefinite direction (for n > 1: a diagonal entry of 3 and the
+        // others at most -1), scaled by 4 tr(X) >= 4 lambda_max(X), so the
+        // step is at most 1/4: it binds, and so does its negation.
+        Matrix dx = random_symmetric(n, rng);
+        for (std::size_t d = 0; d < n; ++d) dx(d, d) -= 2.0;
+        if (n > 1) dx(0, 0) = 3.0;
+        double trace = 0.0;
+        for (std::size_t d = 0; d < n; ++d) trace += x(d, d);
+        dx.scale(4.0 * trace);
+        ASSERT_LT(reference_step(chol, dx, cap), cap) << tag;
+        expect_step_matches_reference(x, dx, cap, tag + " indefinite");
+        expect_step_matches_reference(x, (-1.0) * dx, cap, tag + " negated");
+      }
+    }
+  }
+}
+
+TEST(StepLength, NearTheBoundary) {
+  // dX = L S L^T with lambda_min(S) = -(1 + delta) / cap: X + cap dX is
+  // singular to within |delta| (exactly, delta = 0), right where the
+  // Cholesky test and the eigenvalue test must agree. delta = 5e-10 puts
+  // the reference step below cap (1 - 1e-10), where cap is wrong.
+  util::Rng rng(73);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 8u, 25u}) {
+    for (const double cap : {1.0, 1.0 / 0.98}) {
+      for (const double delta : {-1e-6, -5e-10, -5e-13, 0.0, 5e-13, 5e-10, 1e-6}) {
+        const Matrix x = random_spd(n, rng);
+        const Cholesky chol = Cholesky::factor_shifted(x);
+        Matrix s = random_symmetric(n, rng);
+        const double target = -(1.0 + delta) / cap;
+        const double shift = linalg::min_eigenvalue(s) - target;
+        for (std::size_t d = 0; d < n; ++d) s(d, d) -= shift;
+        const Matrix dx = chol.lower() * s * chol.lower().transposed();
+        expect_step_matches_reference(
+            x, dx, cap,
+            "n=" + std::to_string(n) + " cap=" + std::to_string(cap) +
+                " delta=" + std::to_string(delta));
+      }
+    }
+  }
+}
+
+TEST(StepLength, ShiftedFactorUsesTheShiftedMatrix) {
+  // X with a zero last row and column needs a diagonal shift to factor; the
+  // step is measured against X + shift I, the matrix L L^T factors.
+  util::Rng rng(79);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 8u, 25u}) {
+    Matrix x(n, n);
+    if (n > 1) {
+      const Matrix a = random_spd(n - 1, rng);
+      for (std::size_t r = 0; r + 1 < n; ++r)
+        for (std::size_t c = 0; c + 1 < n; ++c) x(r, c) = a(r, c);
+    }
+    const Cholesky chol = Cholesky::factor_shifted(x);
+    ASSERT_GT(chol.shift(), 0.0) << "n=" << n;
+    const std::string tag = "n=" + std::to_string(n);
+    Matrix g = random_symmetric(n, rng);
+    EXPECT_EQ(kernel_step(x, chol, linalg::times_transposed(g, g), 1.0), 1.0) << tag;
+    for (int trial = 0; trial < 3; ++trial) {
+      const Matrix dx = random_symmetric(n, rng);
+      expect_step_matches_reference(x, dx, 1.0, tag + " trial=" + std::to_string(trial));
+    }
+  }
+}
+
+TEST(StepLength, NanDirectionDoesNotBind) {
+  // A NaN direction has no eigenvalue to bind the step: the kernel answers
+  // cap, and the IPM's watchdog catches the poisoned iterate afterwards.
+  util::Rng rng(83);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 8u, 25u}) {
+    const Matrix x = random_spd(n, rng);
+    const Cholesky chol = Cholesky::factor_shifted(x);
+    Matrix dx = random_symmetric(n, rng);
+    dx(n - 1, 0) = std::numeric_limits<double>::quiet_NaN();
+    dx(0, n - 1) = dx(n - 1, 0);
+    EXPECT_EQ(kernel_step(x, chol, dx, 1.0), 1.0) << "n=" << n;
+    EXPECT_EQ(kernel_step(x, chol, dx, 1.0 / 0.98), 1.0 / 0.98) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "linalg/eigen_sym.hpp"
@@ -371,23 +373,54 @@ TEST(BatchSolver, EffectiveConfigDividesThreadsAcrossWorkers) {
 
 // --- multi-threaded determinism and KKT checks against the problem data -----
 
+void expect_bitwise_equal(const Solution& a, const Solution& b, const std::string& what) {
+  EXPECT_EQ(a.status, b.status) << what;
+  EXPECT_EQ(a.iterations, b.iterations) << what;
+  ASSERT_EQ(a.y.size(), b.y.size()) << what;
+  for (std::size_t i = 0; i < a.y.size(); ++i) EXPECT_EQ(a.y[i], b.y[i]) << what << " y[" << i << "]";
+  EXPECT_EQ(a.primal_objective, b.primal_objective) << what;
+}
+
 TEST(Threading, IpmDeterministicAcrossThreadCounts) {
-  // The parallel Schur/factor/recover partitions write disjoint entries in a
-  // fixed order, so multi-threaded solves must reproduce the single-threaded
-  // iterate *bitwise*: same status, same iteration count, same duals.
-  for (std::uint64_t seed : {3u, 19u}) {
-    const Problem p = random_feasible_sdp(seed, 10, 14);
+  // The parallel Schur/factor/recover/step-length partitions write disjoint
+  // entries in a fixed order, and each worker's scratch is fully rewritten
+  // before it is read, so multi-threaded solves must reproduce the
+  // single-threaded iterate *bitwise*: same status, same iteration count,
+  // same duals. Mixed block sizes make workers reuse one scratch across
+  // blocks of 1, 2, 3 and 25 rows; 14 blocks of 4x4 is the sweep's shape.
+  const std::vector<std::pair<std::string, Problem>> problems = {
+      {"random seed 3", random_feasible_sdp(3, 10, 14)},
+      {"random seed 19", random_feasible_sdp(19, 10, 14)},
+      {"mixed blocks", mixed_block_sdp({25, 1, 3, 2, 25, 2, 1, 3}, 23)},
+      {"14 blocks of 4", mixed_block_sdp(std::vector<std::size_t>(14, 4), 31)},
+  };
+  for (const auto& [name, p] : problems) {
     sdp::IpmOptions serial;
     serial.threads = 1;
     const Solution a = sdp::IpmSolver(serial).solve(p);
     sdp::IpmOptions parallel = serial;
     parallel.threads = 4;
     const Solution b = sdp::IpmSolver(parallel).solve(p);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.iterations, b.iterations);
-    ASSERT_EQ(a.y.size(), b.y.size());
-    for (std::size_t i = 0; i < a.y.size(); ++i) EXPECT_EQ(a.y[i], b.y[i]) << "y[" << i << "]";
-    EXPECT_EQ(a.primal_objective, b.primal_objective);
+    expect_bitwise_equal(a, b, name);
+  }
+}
+
+TEST(Threading, IpmBackToBackSolvesMatchFreshSolvers) {
+  // One solver, problems of different block sizes in turn: nothing a solve
+  // leaves in per-block or per-worker storage may reach the next one.
+  const Problem mixed = mixed_block_sdp({25, 1, 3, 2, 25, 2, 1, 3}, 23);
+  const Problem small = mixed_block_sdp(std::vector<std::size_t>(14, 4), 31);
+  for (const std::size_t threads : {1u, 4u}) {
+    sdp::IpmOptions opt;
+    opt.threads = threads;
+    const sdp::IpmSolver shared(opt);
+    const std::string tag = "threads=" + std::to_string(threads);
+    const Solution first = shared.solve(mixed);
+    const Solution second = shared.solve(small);
+    const Solution third = shared.solve(mixed);
+    expect_bitwise_equal(first, sdp::IpmSolver(opt).solve(mixed), tag + " mixed first");
+    expect_bitwise_equal(second, sdp::IpmSolver(opt).solve(small), tag + " small after mixed");
+    expect_bitwise_equal(third, first, tag + " mixed after small");
   }
 }
 
